@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scnptree.evaluator import pair_costs, pair_survival
 from scnptree.instance import AttackVector, PathTable, TreeInstance, build_path_table
 from scnptree.milpcore import (
     STATUS_INFEASIBLE,
@@ -132,23 +133,10 @@ def slave_primal(instance: TreeInstance, path: tuple[int, ...], attack: AttackVe
 
 
 def pair_values(instance: TreeInstance, paths: PathTable, attack: AttackVector) -> dict[tuple[int, int], float]:
-    """Slave objectives for every pair in one pass of prefix products."""
-    n = instance.node_count
-    factor = [1.0 - (1.0 - p) * v for p, v in zip(instance.survival_prob, attack.flags)]
-    costs = instance.connection_cost
-    prod = [0.0] * n
-    values: dict[tuple[int, int], float] = {}
-    for source in range(n - 1):
-        prod[source] = factor[source]
-        for node, parent in paths.preorder[source]:
-            value = prod[parent] * factor[node]
-            prod[node] = value
-            if node > source:
-                if costs is None:
-                    values[(source, node)] = value
-                else:
-                    values[(source, node)] = costs.get((source, node), 1.0) * value
-    return values
+    """Slave objectives for every pair: cost times the pair's path survival
+    product from ``evaluator.pair_survival``; empty when n = 1."""
+    products = pair_survival(instance, paths, np.array([attack.flags]))[0]
+    return dict(zip(paths.pairs(), (products * pair_costs(instance, paths)).tolist()))
 
 
 def analytic_dual(instance: TreeInstance, path: tuple[int, ...], attack: AttackVector) -> PathDuals:

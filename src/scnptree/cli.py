@@ -9,6 +9,10 @@ with the fixed header::
 
     n,scheme,method,instances,mean_time_s,mean_gap_pct,closed,mean_iterations,mean_cuts
 
+A bench task that raises becomes an unpersisted record with status
+``Error`` and an ``error`` message; the other tasks still run, the CSV is
+still written, and the exit code is 1.
+
 Exit codes: 0 on success, 1 on solver failure, 2 on usage errors.
 """
 
@@ -22,6 +26,7 @@ import os
 import re
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from scnptree import benders as benders_mod
@@ -41,6 +46,7 @@ from scnptree.instance import (
 from scnptree.milpcore import STATUS_OPTIMAL, solve_milp
 
 METHODS = ("benders", "milp", "ilp-p", "dp", "exhaustive")
+STATUS_ERROR = "Error"
 BENCH_CSV_HEADER = "n,scheme,method,instances,mean_time_s,mean_gap_pct,closed,mean_iterations,mean_cuts"
 _FILENAME_RE = re.compile(r"^tree_n(\d+)_(unit|type1|type2|type3)_(\d+)\.json$")
 
@@ -97,27 +103,17 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
         )
         if params.get("trace_path"):
             benders_mod.write_trace_csv(result, params["trace_path"])
-    elif method == "milp":
+    elif method in ("milp", "ilp-p"):
         paths = build_path_table(instance)
-        model, index = models.build_chain_milp(
-            instance,
-            paths,
-            share_prefixes=params.get("share_prefixes", False),
-            add_valid_ineq=params.get("use_valid_ineq", True),
-        )
-        res = solve_milp(model, gap=eps, time_limit=time_limit, backend=backend)
-        attack = models.attack_from_solution(index.attack, res.x) if res.x is not None else None
-        record.update(
-            value=res.objective,
-            bound=res.bound,
-            status=res.status,
-            attack=list(attack.attacked) if attack else None,
-            iterations=res.nodes,
-            cuts=None,
-        )
-    elif method == "ilp-p":
-        paths = build_path_table(instance)
-        model, index = models.build_ilp_p(instance, paths)
+        if method == "milp":
+            model, index = models.build_chain_milp(
+                instance,
+                paths,
+                share_prefixes=params.get("share_prefixes", False),
+                add_valid_ineq=params.get("use_valid_ineq", True),
+            )
+        else:
+            model, index = models.build_ilp_p(instance, paths)
         res = solve_milp(model, gap=eps, time_limit=time_limit, backend=backend)
         attack = models.attack_from_solution(index.attack, res.x) if res.x is not None else None
         record.update(
@@ -207,11 +203,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _bench_task(task: tuple) -> tuple[str, str, dict]:
+    """Solve one (instance, method) task and persist its record; a task that
+    raises yields an unpersisted error record, so a rerun retries it."""
     instance_path, method, params, record_path = task
-    instance = read_instance(instance_path)
-    record = solve_instance(instance, method, params)
+    started = time.perf_counter()
+    try:
+        record = solve_instance(read_instance(instance_path), method, params)
+    except Exception as exc:  # one failing task must not abort the bench
+        traceback.print_exc()
+        error = f"{type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - started
+        record = dict(method=method, status=STATUS_ERROR, error=error, value=None, bound=None, gap=1.0, time=elapsed)
     record["instance"] = os.path.basename(instance_path)
-    _write_json_atomic(record, Path(record_path))
+    if record["status"] != STATUS_ERROR:
+        _write_json_atomic(record, Path(record_path))
     return instance_path, method, record
 
 
@@ -262,15 +267,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             }
             tasks.append((str(path), method, params, str(record_path)))
 
-    if tasks:
-        if args.workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-                for instance_path, method, record in pool.map(_bench_task, tasks):
-                    records[(instance_path, method)] = record
-        else:
-            for task in tasks:
-                instance_path, method, record = _bench_task(task)
-                records[(instance_path, method)] = record
+    if args.workers > 1 and tasks:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+            results = list(pool.map(_bench_task, tasks))
+    else:
+        results = map(_bench_task, tasks)
+    for instance_path, method, record in results:
+        records[(instance_path, method)] = record
 
     groups: dict[tuple[int, str, str], list[dict]] = {}
     for (instance_path, method), record in records.items():
@@ -305,29 +308,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return f"{value:.{digits}f}"
         return str(value)
 
-    csv_lines = [BENCH_CSV_HEADER]
-    for row in rows:
-        csv_lines.append(
-            ",".join(
-                fmt(row[key])
-                for key in (
-                    "n",
-                    "scheme",
-                    "method",
-                    "instances",
-                    "mean_time_s",
-                    "mean_gap_pct",
-                    "closed",
-                    "mean_iterations",
-                    "mean_cuts",
-                )
-            )
-        )
-    csv_text = "\n".join(csv_lines) + "\n"
-    if args.csv:
-        Path(args.csv).write_text(csv_text, encoding="utf-8")
-
     header = BENCH_CSV_HEADER.split(",")
+    csv_lines = [BENCH_CSV_HEADER] + [",".join(fmt(row[key]) for key in header) for row in rows]
+    if args.csv:
+        Path(args.csv).write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+
     widths = [
         max(len(header[col]), *(len(fmt(row[header[col]])) for row in rows)) if rows else len(header[col])
         for col in range(len(header))
@@ -335,7 +320,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:
         print("  ".join(fmt(row[h]).ljust(w) for h, w in zip(header, widths)))
-    return 0
+    errors = [r for r in records.values() if r.get("status") == STATUS_ERROR]
+    for r in errors:
+        print(f"solver failure: {r['instance']} {r['method']}: {r['error']}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def _instance_from_payload(payload: dict) -> TreeInstance:

@@ -1,10 +1,10 @@
 """Ground-truth objective computation and brute-force search.
 
-Three independent routes to the same quantity back every other module:
-``objective_tree`` multiplies survival factors along tree paths,
-``objective_scenarios`` enumerates the random outcomes of the attacked set
-on an arbitrary graph, and ``exhaustive_solve`` minimizes over every
-budget-feasible attack vector.
+``pair_survival`` is the one kernel for per-pair path survival products;
+``objective_tree``, ``batch_objective`` and ``benders.pair_values`` weight
+it by pair cost, and ``exhaustive_solve`` minimizes ``batch_objective``.
+``objective_scenarios`` shares no code with it: it enumerates the outcomes
+of the attacked set on any graph, and the tests hold the kernel to it.
 """
 
 from __future__ import annotations
@@ -25,35 +25,49 @@ class InstanceTooLarge(ValueError):
     """Exhaustive search over attackable nodes would exceed 2^20 vectors."""
 
 
+def pair_survival(instance: TreeInstance, paths: PathTable, flag_rows: np.ndarray) -> np.ndarray:
+    """Path survival products of every pair for (batch, n) 0/1 flag rows.
+
+    Returns shape (batch, pairs), columns in ``paths.pairs()`` order.  The
+    upward table holds at (k, x) the product of the factors 1 - (1 - p) v
+    over x and its k - 1 nearest ancestors, flattened to k * n + x; each
+    pair multiplies its two ``paths.slots``.  No division: p = 0 stays exact.
+    """
+    n = instance.node_count
+    rows = np.asarray(flag_rows)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"expected shape (batch, {n})")
+    # Batch last: every gather below copies contiguous rows of the batch.
+    upward = np.empty((paths.levels, n, rows.shape[0]))
+    upward[0] = 1.0
+    factors = upward[1]
+    np.multiply(rows.T, np.subtract(instance.survival_prob, 1.0)[:, None], out=factors)
+    factors += 1.0
+    for k in range(2, paths.levels):
+        np.take(upward[k - 1], paths.parent, axis=0, out=upward[k])
+        upward[k] *= factors
+    flat = upward.reshape(paths.levels * n, rows.shape[0])
+    products = flat[paths.slots[0]]
+    products *= flat[paths.slots[1]]
+    return products.T
+
+
+def pair_costs(instance: TreeInstance, paths: PathTable) -> np.ndarray:
+    """Connection cost of every pair in ``paths.pairs()`` order."""
+    if instance.connection_cost is None:
+        return np.ones(len(paths.paths))
+    return np.array([instance.connection_cost.get(pair, 1.0) for pair in paths.pairs()])
+
+
 def objective_tree(instance: TreeInstance, paths: PathTable, attack: AttackVector) -> float:
     """Expected pairwise connectivity via per-path survival products.
 
     Each pair (i, j) contributes c_ij * prod over path nodes k of
-    (1 - (1 - p_k) v_k).  Prefix products along the DFS order make this
-    O(n) per source node.
+    (1 - (1 - p_k) v_k), taken from ``pair_survival`` for one row and
+    added with compensated summation.
     """
-    n = instance.node_count
-    factor = [1.0 - (1.0 - p) * v for p, v in zip(instance.survival_prob, attack.flags)]
-    costs = instance.connection_cost
-    prod = [0.0] * n
-    per_source: list[float] = []
-    for source in range(n - 1):
-        prod[source] = factor[source]
-        subtotal = 0.0
-        if costs is None:
-            for node, parent in paths.preorder[source]:
-                value = prod[parent] * factor[node]
-                prod[node] = value
-                if node > source:
-                    subtotal += value
-        else:
-            for node, parent in paths.preorder[source]:
-                value = prod[parent] * factor[node]
-                prod[node] = value
-                if node > source:
-                    subtotal += costs.get((source, node), 1.0) * value
-        per_source.append(subtotal)
-    return math.fsum(per_source)
+    products = pair_survival(instance, paths, np.array([attack.flags]))[0]
+    return math.fsum((products * pair_costs(instance, paths)).tolist())
 
 
 def objective_scenarios(instance: TreeInstance, attack: AttackVector) -> float:
@@ -157,36 +171,14 @@ def feasible_attack_vectors(instance: TreeInstance, max_nodes: int = 20) -> Iter
 
 
 def batch_objective(instance: TreeInstance, paths: PathTable, flag_rows: np.ndarray) -> np.ndarray:
-    """Objective of many attack vectors at once; rows of 0/1 flags."""
-    n = instance.node_count
-    rows = np.asarray(flag_rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"expected shape (batch, {n})")
-    p = np.asarray(instance.survival_prob)
-    factors = 1.0 - (1.0 - p)[None, :] * rows
-    total = np.zeros(rows.shape[0])
-    if n == 1:
-        return total
-
-    cost_matrix = None
-    if instance.connection_cost is not None:
-        cost_matrix = np.ones((n, n))
-        for (i, j), c in instance.connection_cost.items():
-            cost_matrix[i, j] = c
-            cost_matrix[j, i] = c
-
-    prod = np.empty_like(factors)
-    for source in range(n - 1):
-        prod[:, source] = factors[:, source]
-        for node, parent in paths.preorder[source]:
-            value = prod[:, parent] * factors[:, node]
-            prod[:, node] = value
-            if node > source:
-                if cost_matrix is None:
-                    total += value
-                else:
-                    total += cost_matrix[source, node] * value
-    return total
+    """Objective of many attack vectors at once: cost-weighted row sums of
+    ``pair_survival``, fed chunks of about 2^18 pair products so that its
+    tables stay in cache (every row is 0 when n = 1, which has no pairs)."""
+    rows = np.asarray(flag_rows)
+    costs = pair_costs(instance, paths)
+    step = max(1, (1 << 18) // max(1, len(costs)))
+    chunks = range(0, max(1, len(rows)), step)
+    return np.concatenate([pair_survival(instance, paths, rows[i : i + step]) @ costs for i in chunks])
 
 
 def exhaustive_solve(

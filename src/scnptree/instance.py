@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 
 class InstanceError(ValueError):
     """Base class for instance validation failures.
@@ -206,17 +208,21 @@ def validate(instance: TreeInstance) -> TreeInstance:
 
 @dataclass(frozen=True)
 class PathTable:
-    """All unique tree paths, plus the traversal order used to build them.
+    """All unique tree paths, plus the index arrays of their survival products.
 
     ``paths`` maps each pair (i, j) with i < j to the node sequence from i
-    to j inclusive.  ``preorder`` holds, per source node s, the DFS visit
-    order as (node, parent) pairs covering every node except s itself;
-    consumers can rebuild prefix products along paths in O(1) per step.
+    to j inclusive.  The tree is rooted at node 0: ``parent`` maps each
+    node to its parent (the root to itself) and ``levels`` is the height
+    plus two.  ``slots`` holds, per pair in ``pairs()`` order, the two
+    positions in ``evaluator.pair_survival``'s upward table whose product
+    is the pair's path.
     """
 
     node_count: int
     paths: Mapping[tuple[int, int], tuple[int, ...]]
-    preorder: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+    parent: np.ndarray = field(repr=False, compare=False)
+    levels: int = field(repr=False, compare=False)
+    slots: np.ndarray = field(repr=False, compare=False)
 
     def path(self, i: int, j: int) -> tuple[int, ...]:
         """Node sequence of the unique i-j path, oriented from min(i,j)."""
@@ -227,11 +233,17 @@ class PathTable:
 
 
 def build_path_table(instance: TreeInstance) -> PathTable:
-    """Materialize every pairwise path with one DFS per source node."""
+    """Materialize every pairwise path with one DFS per source node.
+
+    Walked from its source, a path climbs toward the root up to the pair's
+    lowest common ancestor and descends after it, so each DFS step carries
+    that ancestor forward in O(1).
+    """
     n = instance.node_count
     adj = instance.adjacency()
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    preorder: list[tuple[tuple[int, int], ...]] = []
+    ancestors: list[int] = []
+    depth = [0] * n
 
     for source in range(n):
         order: list[tuple[int, int]] = []
@@ -249,15 +261,29 @@ def build_path_table(instance: TreeInstance) -> PathTable:
                     seen[nxt] = True
                     parent[nxt] = node
                     stack.append(nxt)
-        preorder.append(tuple(order))
+        if source == 0:  # always the first source: it roots the tree
+            root_parent = parent
+            root_parent[0] = 0
+            for node, par in order:
+                depth[node] = depth[par] + 1
         # Rebuild explicit sequences only for pairs this source owns (j > source).
-        route: dict[int, tuple[int, ...]] = {source: (source,)}
+        route: list[tuple[int, ...]] = [()] * n
+        route[source] = (source,)
+        top = [source] * n
         for node, par in order:
             route[node] = route[par] + (node,)
+            top[node] = node if root_parent[par] == node else top[par]
             if node > source:
                 paths[(source, node)] = route[node]
+                ancestors.append(top[node])
 
-    return PathTable(node_count=n, paths=paths, preorder=tuple(preorder))
+    ends = np.array(list(paths), dtype=np.intp).reshape(-1, 2).T
+    depth_of = np.array(depth)
+    # Run lengths up from each end; the second run includes the ancestor.
+    slots = (depth_of[ends] - depth_of[ancestors] + [[0], [1]]) * n + ends
+    parent_of = np.array(root_parent, dtype=np.intp)
+    parent_of.flags.writeable = slots.flags.writeable = False
+    return PathTable(node_count=n, paths=paths, parent=parent_of, levels=max(depth) + 2, slots=slots)
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,9 @@ def valid_inequalities(instance: TreeInstance) -> tuple[tuple[int, int], ...]:
     """
     out: list[tuple[int, int]] = []
     leaves = set(instance.leaves())
+    adjacency = instance.adjacency()
     for i in sorted(leaves):
-        j = instance.adjacency()[i][0]
+        j = adjacency[i][0]
         if j in leaves:
             continue
         if instance.survival_prob[j] <= instance.survival_prob[i] and (

@@ -7,10 +7,11 @@ import time
 
 import pytest
 
-from scnptree import generate_instance, make_instance, read_instance, write_instance
+from scnptree import cli, generate_instance, make_instance, read_instance, write_instance
 from scnptree.cli import BENCH_CSV_HEADER, main
 from scnptree.evaluator import exhaustive_solve, objective_tree
 from scnptree.instance import AttackVector, build_path_table
+from scnptree.milpcore import NumericalFailure
 
 
 def run(capsys, *argv):
@@ -242,6 +243,47 @@ def test_bench_parallel_workers(tmp_path, capsys):
     )
     assert code == 0
     assert "5" in out and "type1" in out
+
+
+def test_bench_isolates_a_failing_task(tmp_path, capsys, monkeypatch):
+    instances = tmp_path / "instances"
+    results = tmp_path / "results"
+    run(capsys, "gen", "--n", "5", "--scheme", "unit", "--count", "3",
+        "--seed", "2", "--out-dir", str(instances))
+    solve = cli.solve_instance
+
+    def flaky(instance, method, params):
+        if instance == generate_instance(5, "unit", 3):
+            raise NumericalFailure("simplex lost feasibility")
+        return solve(instance, method, params)
+
+    monkeypatch.setattr(cli, "solve_instance", flaky)
+    csv_path = tmp_path / "agg.csv"
+    code, _, err = run(
+        capsys,
+        "bench", str(instances), "--methods", "exhaustive", "--workers", "1",
+        "--results-dir", str(results), "--csv", str(csv_path),
+    )
+    assert code == 1
+    assert "tree_n5_unit_3.json exhaustive: NumericalFailure: simplex lost feasibility" in err
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == BENCH_CSV_HEADER
+    row = lines[1].split(",")
+    assert row[:4] == ["5", "unit", "exhaustive", "3"]
+    assert row[5] == f"{100 / 3:.4f}"  # the error record counts as a 100% gap
+    assert row[6] == "2"  # only the two solved instances are closed
+    # only the solved tasks are persisted, so a rerun retries the failed one
+    stored = [json.loads(f.read_text(encoding="utf-8")) for f in results.glob("*.json")]
+    assert sorted(r["instance"] for r in stored) == ["tree_n5_unit_2.json", "tree_n5_unit_4.json"]
+
+    monkeypatch.setattr(cli, "solve_instance", solve)
+    code, _, _ = run(
+        capsys,
+        "bench", str(instances), "--methods", "exhaustive", "--workers", "1",
+        "--results-dir", str(results),
+    )
+    assert code == 0
+    assert len(list(results.glob("*.json"))) == 3
 
 
 def test_bench_rejects_unknown_method(tmp_path, capsys):

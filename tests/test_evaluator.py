@@ -1,11 +1,14 @@
 """Objective evaluation routes and the exhaustive solver."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scnptree.benders import pair_values
 from scnptree.evaluator import (
     InstanceTooLarge,
     TooManyAttackedNodes,
@@ -64,14 +67,67 @@ def test_scenarios_guard_on_attack_size():
         objective_scenarios(inst, attack)
 
 
-def test_batch_objective_matches_single_route():
+def _random_weighted_case():
     rng = np.random.default_rng(2)
     inst = oracles.random_tree_instance(rng, 9, "weighted")
+    return inst, [oracles.attack_with_at_most(rng, inst, 5).flags for _ in range(40)]
+
+
+def _all_flag_rows(n):
+    return [tuple((bits >> i) & 1 for i in range(n)) for bits in range(2**n)]
+
+
+def _star_case():
+    # p = 0 and p = 1 on attackable leaves: certain removal and certain survival
+    inst = make_instance(5, [(0, i) for i in range(1, 5)], [0.5, 0.0, 1.0, 0.3, 0.0], [1.0] * 5, None, 5.0)
+    return inst, _all_flag_rows(5)
+
+
+def _path_case():
+    # the zero-cost pair (1, 4) is listed; unlisted pairs default to cost 1
+    costs = {(0, 5): 3.0, (1, 4): 0.0, (2, 3): 2.5}
+    inst = make_instance(6, [(i, i + 1) for i in range(5)], [0.2, 0.0, 0.7, 1.0, 0.4, 0.9], [1.0] * 6, costs, 6.0)
+    return inst, _all_flag_rows(6)
+
+
+def _single_node_case():
+    return make_instance(1, [], [0.5], [1.0], None, 1.0), [(0,), (1,)]
+
+
+def _two_node_case():
+    return make_instance(2, [(0, 1)], [0.0, 0.6], [1.0, 2.0], {(0, 1): 4.0}, 3.0), _all_flag_rows(2)
+
+
+def _empty_batch_case():
+    rng = np.random.default_rng(4)
+    return oracles.random_tree_instance(rng, 7, "weighted"), np.zeros((0, 7), dtype=int)
+
+
+KERNEL_CASES = {
+    "random-weighted": _random_weighted_case,
+    "star-certain-outcomes": _star_case,
+    "path-zero-cost-pair": _path_case,
+    "single-node": _single_node_case,
+    "two-nodes": _two_node_case,
+    "empty-batch": _empty_batch_case,
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_batch_objective_matches_single_route(case):
+    inst, flag_rows = KERNEL_CASES[case]()
     paths = build_path_table(inst)
-    rows = np.array([oracles.attack_with_at_most(rng, inst, 5).flags for _ in range(40)])
+    rows = np.array(flag_rows, dtype=int).reshape(len(flag_rows), inst.node_count)
     values = batch_objective(inst, paths, rows)
+    assert values.shape == (len(rows),)
     for row, value in zip(rows, values):
-        assert value == pytest.approx(objective_tree(inst, paths, AttackVector(tuple(row))), abs=1e-9)
+        attack = AttackVector(tuple(int(v) for v in row))
+        expected = oracles.expected_pair_connectivity(inst, attack.flags)
+        assert value == pytest.approx(expected, abs=1e-9)
+        assert value == pytest.approx(objective_tree(inst, paths, attack), abs=1e-9)
+        per_pair = pair_values(inst, paths, attack)
+        assert set(per_pair) == set(paths.pairs())
+        assert math.fsum(per_pair.values()) == pytest.approx(expected, abs=1e-9)
 
 
 def test_feasible_attack_vectors_lexicographic_and_complete():
