@@ -2,7 +2,8 @@
 
 Result records are JSON objects with method, value (upper bound), bound
 (lower bound), gap = 1 - bound/value (0 when the value is 0), status,
-time, and iteration/cut counts where the method has them.  The bench
+time (the limit itself when a run hits its time limit), elapsed (the
+measured seconds), and iteration/cut counts where the method has them.  The bench
 subcommand persists one record per (instance, method) keyed by instance
 content hash, so interrupted runs resume, and aggregates them into a CSV
 with the fixed header::
@@ -140,9 +141,9 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
         raise ValueError(f"unknown method {method!r}")
 
     elapsed = time.perf_counter() - started
-    if record.get("status") == "TimeLimit" and time_limit is not None:
-        elapsed = float(time_limit)
-    record["time"] = elapsed
+    timed_out = record.get("status") == "TimeLimit" and time_limit is not None
+    record["time"] = float(time_limit) if timed_out else elapsed
+    record["elapsed"] = elapsed
     record["gap"] = _gap(record.get("value"), record.get("bound"))
     return record
 
@@ -213,7 +214,10 @@ def _bench_task(task: tuple) -> tuple[str, str, dict]:
         traceback.print_exc()
         error = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - started
-        record = dict(method=method, status=STATUS_ERROR, error=error, value=None, bound=None, gap=1.0, time=elapsed)
+        record = dict(
+            method=method, status=STATUS_ERROR, error=error, value=None, bound=None, gap=1.0,
+            time=elapsed, elapsed=elapsed,
+        )
     record["instance"] = os.path.basename(instance_path)
     if record["status"] != STATUS_ERROR:
         _write_json_atomic(record, Path(record_path))

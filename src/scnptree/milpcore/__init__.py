@@ -1,12 +1,12 @@
 """Self-contained linear and integer programming toolkit.
 
-Models are built with LinearModel, relaxations solved by solve_lp (built-in
-bounded-variable simplex or HiGHS via scipy), and integer programs by
-solve_milp (branch and bound over either LP backend).
+Models are built with LinearModel, relaxations solved by solve_lp (HiGHS
+via scipy, one warm-started session per model, or the built-in
+bounded-variable simplex when named), and integer programs by solve_milp
+(branch and bound over either LP backend).
 """
 
 from scnptree.milpcore.backends import (
-    AUTO_DENSE_CELL_LIMIT,
     BACKENDS,
     resolve_backend,
     solve_lp,
@@ -28,7 +28,6 @@ from scnptree.milpcore.model import (
 from scnptree.milpcore.simplex import simplex_solve
 
 __all__ = [
-    "AUTO_DENSE_CELL_LIMIT",
     "BACKENDS",
     "EQUAL",
     "GREATER_EQUAL",

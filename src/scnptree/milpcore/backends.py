@@ -1,13 +1,20 @@
-"""LP backend routing: the built-in simplex or HiGHS through scipy.
+"""LP backend routing: HiGHS through scipy, or the built-in dense simplex.
 
 Both backends return the same SolveResult contract, including row duals in
 the shared sign convention (<= rows nonpositive, >= rows nonnegative).
-``auto`` picks the built-in simplex for small models and HiGHS beyond a
-dense-size threshold.
+``auto`` means HiGHS; the dense simplex runs only when asked for by name.
+
+HiGHS runs as one persistent session per model, through scipy's private
+binding ``scipy.optimize._highspy._core._Highs``.  Rows keep their native
+bounds, rows added to the model after a solve are appended to the session,
+and each solve only resets the column bounds, so dual simplex restarts from
+the previous basis.  A scipy without that binding takes a cold ``linprog``
+call per solve instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 
@@ -22,6 +29,7 @@ from scnptree.milpcore.model import (
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
+    STATUS_TIME_LIMIT,
     STATUS_UNBOUNDED,
     LinearModel,
     NumericalFailure,
@@ -29,16 +37,22 @@ from scnptree.milpcore.model import (
 )
 from scnptree.milpcore.simplex import simplex_solve
 
+try:  # private API: probe everything the session uses
+    from scipy.optimize._highspy import _core as _binding
+
+    _binding._Highs, _binding.HighsModelStatus, _binding.HighsStatus
+except (ImportError, AttributeError):
+    _binding = None
+
 BACKENDS = ("auto", "simplex", "highs")
 
-# auto routes to the dense simplex while rows * (cols + 2 rows) stays below
-# this; larger models go to HiGHS.  Measured crossover: the dense basis
-# updates stop being competitive past roughly a hundred rows.
-AUTO_DENSE_CELL_LIMIT = 30_000
+_ROWWISE = 2  # HiGHS MatrixFormat.kRowwise
+_MINIMIZE = 1  # HiGHS ObjSense.kMinimize
 
 # Keyed by the model object itself (weakly, so entries die with the model
 # and a recycled address can never be mistaken for a cached model); the
 # revision guards against in-place mutation.
+_sessions: "weakref.WeakKeyDictionary[LinearModel, _Session]" = weakref.WeakKeyDictionary()
 _highs_cache: "weakref.WeakKeyDictionary[LinearModel, tuple[int, dict]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -47,10 +61,124 @@ _highs_cache: "weakref.WeakKeyDictionary[LinearModel, tuple[int, dict]]" = (
 def resolve_backend(model: LinearModel, backend: str) -> str:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend != "auto":
-        return backend
-    m, n = model.num_rows, model.num_variables
-    return "simplex" if m * (n + 2 * m) <= AUTO_DENSE_CELL_LIMIT else "highs"
+    return "highs" if backend == "auto" else backend
+
+
+def _row_block(model: LinearModel, first: int) -> tuple:
+    """Rows ``first..`` as HiGHS row bounds plus a row-wise CSR matrix."""
+    senses = model.senses[first:]
+    rhs = model.rhs[first:]
+    lower = np.array([-math.inf if s == LESS_EQUAL else b for s, b in zip(senses, rhs)])
+    upper = np.array([math.inf if s == GREATER_EQUAL else b for s, b in zip(senses, rhs)])
+    cols = model.row_cols[first:]
+    start = np.zeros(len(cols) + 1, dtype=np.int32)
+    np.cumsum([len(c) for c in cols], out=start[1:])
+    index = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.int32, count=start[-1])
+    value = np.fromiter(
+        itertools.chain.from_iterable(model.row_coefs[first:]), dtype=float, count=start[-1]
+    )
+    return lower, upper, start, index, value
+
+
+class _Session:
+    """A HiGHS LP that mirrors one model and keeps its basis between solves."""
+
+    def __init__(self, model: LinearModel) -> None:
+        highs = _binding._Highs()
+        highs.setOptionValue("output_flag", False)
+        n = model.num_variables
+        lower, upper, start, index, value = _row_block(model, 0)
+        status = highs.passModel(
+            n, model.num_rows, len(index), _ROWWISE, _MINIMIZE, 0.0,
+            np.array(model.objective, dtype=float),
+            np.array(model.lower, dtype=float),
+            np.array(model.upper, dtype=float),
+            # all-continuous integrality: the binding misreads an empty array
+            lower, upper, start, index, value, np.zeros(n, dtype=np.int32),
+        )
+        if status == _binding.HighsStatus.kError:
+            raise NumericalFailure(f"highs rejected model {model.name!r}")
+        self.highs = highs
+        self.columns = np.arange(n, dtype=np.int32)
+        self.rows = model.num_rows
+        self.revision = model.revision
+
+    def follows(self, model: LinearModel) -> bool:
+        """Catch up with ``model``; False when it changed beyond added rows."""
+        added = model.num_rows - self.rows
+        if len(self.columns) != model.num_variables or model.revision - self.revision != added:
+            return False
+        if added:
+            lower, upper, start, index, value = _row_block(model, self.rows)
+            self.highs.addRows(added, lower, upper, len(index), start[:-1], index, value)
+            self.rows = model.num_rows
+            self.revision = model.revision
+        return True
+
+    def run(self, time_limit: float | None) -> tuple:
+        """Run from the current basis; returns (model status, iterations)."""
+        highs = self.highs
+        limit = math.inf
+        if time_limit is not None:
+            # HiGHS's clock counts the session's whole life, not this run
+            limit = highs.getRunTime() + max(time_limit, 1e-3)
+        highs.setOptionValue("time_limit", limit)
+        highs.run()
+        status = highs.getModelStatus()
+        iterations = max(highs.getInfo().simplex_iteration_count, 0)
+        codes = _binding.HighsModelStatus
+        if status in (codes.kUnboundedOrInfeasible, codes.kUnknown):
+            # presolve left the verdict open; the simplex alone settles it
+            highs.setOptionValue("presolve", "off")
+            highs.run()
+            highs.setOptionValue("presolve", "choose")
+            status = highs.getModelStatus()
+            iterations += max(highs.getInfo().simplex_iteration_count, 0)
+        return status, iterations
+
+
+def _session(model: LinearModel) -> _Session:
+    session = _sessions.get(model)
+    if session is None or not session.follows(model):
+        session = _sessions[model] = _Session(model)
+    return session
+
+
+def _session_solve(
+    model: LinearModel,
+    lower: np.ndarray | None,
+    upper: np.ndarray | None,
+    time_limit: float | None,
+) -> SolveResult:
+    session = _session(model)
+    highs = session.highs
+    lo = np.asarray(model.lower if lower is None else lower, dtype=float)
+    hi = np.asarray(model.upper if upper is None else upper, dtype=float)
+    highs.changeColsBounds(len(session.columns), session.columns, lo, hi)
+    status, iterations = session.run(time_limit)
+    codes = _binding.HighsModelStatus
+    if status == codes.kInfeasible:
+        return SolveResult(status=STATUS_INFEASIBLE, iterations=iterations)
+    if status == codes.kUnbounded:
+        return SolveResult(status=STATUS_UNBOUNDED, iterations=iterations)
+    if status == codes.kTimeLimit:
+        return SolveResult(status=STATUS_TIME_LIMIT, iterations=iterations)
+    if status == codes.kIterationLimit:
+        return SolveResult(status=STATUS_ITERATION_LIMIT, iterations=iterations)
+    if status != codes.kOptimal:
+        raise NumericalFailure(f"highs backend failed: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value, dtype=float)
+    duals = np.array(solution.row_dual, dtype=float)
+    objective = float(highs.getObjectiveValue())
+    return SolveResult(
+        status=STATUS_OPTIMAL,
+        objective=objective,
+        x=x,
+        duals=duals,
+        bound=objective,
+        iterations=iterations,
+    )
 
 
 def _highs_arrays(model: LinearModel) -> dict:
@@ -100,7 +228,7 @@ def _highs_arrays(model: LinearModel) -> dict:
     return built
 
 
-def _highs_solve(
+def _linprog_solve(
     model: LinearModel,
     lower: np.ndarray | None,
     upper: np.ndarray | None,
@@ -131,7 +259,9 @@ def _highs_solve(
     if res.status == 3:
         return SolveResult(status=STATUS_UNBOUNDED, iterations=int(res.nit))
     if res.status == 1:
-        return SolveResult(status=STATUS_ITERATION_LIMIT, iterations=int(res.nit))
+        # scipy reports HiGHS's time and iteration limits both as status 1
+        hit = STATUS_TIME_LIMIT if res.message.startswith("Time limit") else STATUS_ITERATION_LIMIT
+        return SolveResult(status=hit, iterations=int(res.nit))
     if res.status != 0:
         raise NumericalFailure(f"highs backend failed: {res.message}")
     duals = np.zeros(model.num_rows)
@@ -165,10 +295,14 @@ def solve_lp(
 ) -> SolveResult:
     """Solve the continuous relaxation; integrality flags are ignored.
 
-    The built-in simplex ignores ``time_limit`` (its models are small by the
-    auto routing rule); HiGHS ignores ``max_iterations``.
+    HiGHS (``auto`` or ``highs``) reuses the model's session, so repeated
+    solves of one model, such as branch-and-bound nodes, start from the
+    last basis; it maps a ``time_limit`` stop to TimeLimit and ignores
+    ``max_iterations``.  The built-in simplex ignores ``time_limit``.
     """
     chosen = resolve_backend(model, backend)
     if chosen == "simplex":
         return simplex_solve(model, max_iterations=max_iterations, lower=lower, upper=upper)
-    return _highs_solve(model, lower, upper, time_limit)
+    if _binding is None:
+        return _linprog_solve(model, lower, upper, time_limit)
+    return _session_solve(model, lower, upper, time_limit)

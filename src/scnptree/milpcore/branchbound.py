@@ -113,12 +113,16 @@ def solve_milp(
             if nodes == 1:
                 return SolveResult(status=STATUS_UNBOUNDED, nodes=nodes)
             raise NumericalFailure("child relaxation unbounded below a bounded parent")
-        if res.status == STATUS_ITERATION_LIMIT:
-            if time_limit is not None and time.perf_counter() - start > time_limit:
-                timed_out = True
-                interrupted_est = est
-                break
-            raise NumericalFailure("node relaxation hit the iteration limit")
+        if res.status == STATUS_TIME_LIMIT or (
+            res.status == STATUS_ITERATION_LIMIT
+            and time_limit is not None
+            and time.perf_counter() - start > time_limit
+        ):
+            timed_out = True
+            interrupted_est = est
+            break
+        if res.status != STATUS_OPTIMAL:
+            raise NumericalFailure(f"node relaxation ended {res.status}")
         obj = res.objective
         if obj >= threshold():
             pruned_bound = min(pruned_bound, obj)

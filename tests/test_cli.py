@@ -171,6 +171,22 @@ def test_solve_time_limit_reports_the_limit(tmp_path, capsys):
     assert record["gap"] == 1.0  # no incumbent: value is null
 
 
+def test_solve_records_elapsed_next_to_the_limit(tmp_path, capsys):
+    inst = generate_instance(12, "type2", 13)
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    _, out, _ = run(capsys, "solve", str(path), "--method", "milp", "--time-limit", "0.0")
+    record = json.loads(out)
+    assert record["status"] == "TimeLimit"
+    assert record["time"] == 0.0
+    assert record["elapsed"] > 0.0  # the model build alone takes time
+
+    _, out, _ = run(capsys, "solve", str(path), "--method", "exhaustive")
+    record = json.loads(out)
+    assert record["status"] == "Optimal"
+    assert record["time"] == record["elapsed"] > 0.0
+
+
 def test_solve_backend_flag(tmp_path, capsys):
     inst, path = write_custom(tmp_path, "inst.json", n=5, budget=2.0)
     for backend in ("simplex", "highs"):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from scnptree.milpcore import (
-    AUTO_DENSE_CELL_LIMIT,
     EQUAL,
     GREATER_EQUAL,
     LESS_EQUAL,
@@ -17,13 +16,26 @@ from scnptree.milpcore import (
     STATUS_UNBOUNDED,
     LinearModel,
     NumericalFailure,
+    SolveResult,
     resolve_backend,
     simplex_solve,
     solve_lp,
     solve_milp,
 )
+from scnptree.milpcore import backends, branchbound
 
-BOTH = ("simplex", "highs")
+# The built-in simplex, the HiGHS session, and HiGHS through linprog (the
+# path taken when scipy lacks the session binding).
+LP_PATHS = ("simplex", "highs", "linprog")
+
+
+@pytest.fixture
+def backend(request, monkeypatch):
+    """Backend name for an LP path; ``linprog`` hides the session binding."""
+    if request.param == "linprog":
+        monkeypatch.setattr(backends, "_binding", None)
+        return "highs"
+    return request.param
 
 
 def test_model_rejects_duplicate_variable_names():
@@ -67,7 +79,7 @@ def test_dump_format(tmp_path):
     assert "int: y ;" in text
 
 
-@pytest.mark.parametrize("backend", BOTH)
+@pytest.mark.parametrize("backend", LP_PATHS, indirect=True)
 def test_lp_dual_sign_convention(backend):
     # min x subject to x >= 3: tightening the row by one unit raises the
     # optimum by one, so the multiplier is +1
@@ -80,7 +92,7 @@ def test_lp_dual_sign_convention(backend):
     assert res.duals[0] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("backend", BOTH)
+@pytest.mark.parametrize("backend", LP_PATHS, indirect=True)
 def test_lp_less_equal_duals_nonpositive(backend):
     m = LinearModel()
     m.add_variable("x", 0.0, math.inf, -3.0)
@@ -98,7 +110,7 @@ def test_lp_less_equal_duals_nonpositive(backend):
     assert m.dual_objective(res.duals) == pytest.approx(-36.0)
 
 
-@pytest.mark.parametrize("backend", BOTH)
+@pytest.mark.parametrize("backend", LP_PATHS, indirect=True)
 def test_lp_equality_duals(backend):
     m = LinearModel()
     m.add_variable("x", 0.0, math.inf, 2.0)
@@ -110,7 +122,7 @@ def test_lp_equality_duals(backend):
     assert res.duals[0] == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("backend", BOTH)
+@pytest.mark.parametrize("backend", LP_PATHS, indirect=True)
 def test_lp_statuses(backend):
     m = LinearModel()
     m.add_variable("x", 0.0, 1.0, 1.0)
@@ -122,7 +134,7 @@ def test_lp_statuses(backend):
     assert solve_lp(m2, backend=backend).status == STATUS_UNBOUNDED
 
 
-@pytest.mark.parametrize("backend", BOTH)
+@pytest.mark.parametrize("backend", LP_PATHS, indirect=True)
 def test_lp_respects_bound_overrides(backend):
     m = LinearModel()
     m.add_variable("x", 0.0, 10.0, -1.0)
@@ -150,6 +162,111 @@ def test_lp_backends_agree_on_random_problems():
             assert a.objective == pytest.approx(b.objective, abs=1e-7)
             assert m.dual_objective(a.duals) == pytest.approx(a.objective, abs=1e-7)
             assert m.dual_objective(b.duals) == pytest.approx(b.objective, abs=1e-7)
+
+
+def _knapsack_lp(rows: int) -> LinearModel:
+    rng = np.random.default_rng(21)
+    m = LinearModel("session")
+    for j in range(6):
+        m.add_variable(f"x{j}", 0.0, 1.0, float(-rng.integers(1, 10)))
+    for r in range(rows):
+        coefs = [float(v) for v in rng.integers(1, 6, size=6)]
+        m.add_row(f"r{r}", list(range(6)), coefs, LESS_EQUAL, float(rng.integers(4, 12)))
+    return m
+
+
+def test_session_appends_rows_like_a_fresh_model():
+    extra = [
+        ("cut", [0, 1, 2], [1.0, 1.0, 1.0], LESS_EQUAL, 1.0),
+        ("floor", [3, 4], [1.0, 1.0], GREATER_EQUAL, 0.5),
+        ("pin", [5], [1.0], EQUAL, 0.25),
+    ]
+    grown = _knapsack_lp(1)
+    assert solve_lp(grown).status == STATUS_OPTIMAL
+    session = backends._sessions[grown]
+    for row in extra:
+        grown.add_row(*row)
+    res = solve_lp(grown)
+    assert backends._sessions[grown] is session  # appended, not rebuilt
+    assert session.highs.getNumRow() == grown.num_rows == 4
+
+    fresh = _knapsack_lp(1)
+    for row in extra:
+        fresh.add_row(*row)
+    ref = solve_lp(fresh)
+    assert res.status == ref.status == STATUS_OPTIMAL
+    assert res.objective == pytest.approx(ref.objective, abs=1e-9)
+    assert grown.dual_objective(res.duals) == pytest.approx(res.objective, abs=1e-9)
+    assert fresh.dual_objective(ref.duals) == pytest.approx(res.objective, abs=1e-9)
+
+
+def test_session_rebuilds_after_a_new_variable():
+    m = _knapsack_lp(2)
+    first = solve_lp(m)
+    session = backends._sessions[m]
+    j = m.add_variable("bonus", 0.0, 1.0, -100.0)
+    m.add_row("bonus_cap", [0, j], [1.0, 1.0], LESS_EQUAL, 1.0)
+    res = solve_lp(m)
+    assert backends._sessions[m] is not session
+    assert res.status == STATUS_OPTIMAL
+    assert res.x[j] == pytest.approx(1.0)
+    assert res.objective < first.objective - 50.0
+    assert m.dual_objective(res.duals) == pytest.approx(res.objective, abs=1e-9)
+
+
+def test_session_solves_a_feasible_node_after_an_infeasible_one():
+    m = LinearModel()
+    m.add_variable("x", 0.0, 1.0, -1.0)
+    m.add_variable("y", 0.0, 1.0, -1.0)
+    m.add_row("need", [0, 1], [1.0, 1.0], GREATER_EQUAL, 1.5)
+    blocked = solve_lp(m, lower=np.zeros(2), upper=np.array([0.0, 1.0]))
+    assert blocked.status == STATUS_INFEASIBLE
+    res = solve_lp(m, lower=np.zeros(2), upper=np.array([1.0, 0.75]))
+    assert res.status == STATUS_OPTIMAL
+    assert res.objective == pytest.approx(-1.75)
+    assert res.x == pytest.approx([1.0, 0.75])
+
+
+@pytest.mark.parametrize("backend", ["highs", "linprog"], indirect=True)
+def test_highs_paths_report_a_time_limit_stop(backend):
+    # a dense 400 x 400 LP takes far longer than the 1 ms limit
+    rng = np.random.default_rng(5)
+    m = LinearModel("dense")
+    for j in range(400):
+        m.add_variable(f"x{j}", 0.0, 1.0, float(-rng.uniform(1.0, 2.0)))
+    for r in range(400):
+        coefs = [float(v) for v in rng.uniform(0.1, 1.0, size=400)]
+        m.add_row(f"r{r}", list(range(400)), coefs, LESS_EQUAL, float(rng.uniform(5.0, 20.0)))
+    assert solve_lp(m, backend=backend, time_limit=1e-3).status == STATUS_TIME_LIMIT
+    assert solve_lp(m, backend=backend).status == STATUS_OPTIMAL
+
+
+def test_session_settles_a_run_that_presolve_leaves_open():
+    # HiGHS's presolve ends this unbounded LP with status Unknown; the
+    # session re-solves it without presolve
+    m = LinearModel()
+    m.add_variable("x0", 0.0, 1.0, -2.0)
+    m.add_variable("x1", -1.0, 1.0, 2.0)
+    m.add_variable("x2", -1.0, math.inf, -1.0)
+    m.add_row("a", [1], [1.0], LESS_EQUAL, -1.0)
+    m.add_row("b", [0, 2], [1.0, 1.0], GREATER_EQUAL, 0.0)
+    assert solve_lp(m).status == STATUS_UNBOUNDED
+    assert solve_lp(m, backend="simplex").status == STATUS_UNBOUNDED
+
+
+def test_session_time_limit_counts_from_each_solve():
+    # HiGHS's clock runs over the session's whole life; a per-solve limit
+    # below the time already spent must still leave the solve its budget
+    m = _knapsack_lp(40)
+    session = None
+    while session is None or session.highs.getRunTime() <= 0.02:
+        assert solve_lp(m).status == STATUS_OPTIMAL
+        session = backends._sessions[m]
+        session.highs.clearSolver()  # next solve starts cold
+    res = solve_lp(m, time_limit=0.01)
+    assert res.status == STATUS_OPTIMAL
+    assert res.iterations > 0
+    assert m.dual_objective(res.duals) == pytest.approx(res.objective, abs=1e-9)
 
 
 def test_simplex_handles_free_variables():
@@ -187,7 +304,7 @@ def test_resolve_backend_switches_on_size():
     small = LinearModel()
     small.add_variable("x")
     small.add_row("r", [0], [1.0], LESS_EQUAL, 1.0)
-    assert resolve_backend(small, "auto") == "simplex"
+    assert resolve_backend(small, "auto") == "highs"
     assert resolve_backend(small, "highs") == "highs"
     with pytest.raises(ValueError):
         resolve_backend(small, "mystery")
@@ -197,7 +314,6 @@ def test_resolve_backend_switches_on_size():
         big.add_variable(f"x{j}")
     for r in range(200):
         big.add_row(f"r{r}", [r % 60], [1.0], LESS_EQUAL, 1.0)
-    assert big.num_rows * (big.num_variables + 2 * big.num_rows) > AUTO_DENSE_CELL_LIMIT
     assert resolve_backend(big, "auto") == "highs"
 
 
@@ -211,7 +327,7 @@ def brute_force_binary(model: LinearModel, n: int):
     return best
 
 
-@pytest.mark.parametrize("backend", BOTH)
+@pytest.mark.parametrize("backend", LP_PATHS, indirect=True)
 def test_branch_and_bound_matches_enumeration(backend):
     rng = np.random.default_rng(13)
     for trial in range(25):
@@ -303,6 +419,31 @@ def test_branch_and_bound_time_limit_returns_incumbent():
             assert res.bound <= res.objective + 1e-9
     else:
         assert res.status == STATUS_OPTIMAL
+
+
+def test_branch_and_bound_stops_on_a_node_time_limit(monkeypatch):
+    # an LP that runs out of time ends the search as a timeout, with a
+    # bound that is still proven
+    m = LinearModel("lp_clock")
+    for j, (w, v) in enumerate([(3.0, -4.0), (4.0, -5.0), (5.0, -6.0)]):
+        m.add_variable(f"x{j}", 0.0, 1.0, v, integer=True)
+    m.add_row("cap", [0, 1, 2], [3.0, 4.0, 5.0], LESS_EQUAL, 8.0)
+    real = branchbound.solve_lp
+    calls = []
+
+    def second_node_times_out(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            return SolveResult(status=STATUS_TIME_LIMIT, iterations=3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(branchbound, "solve_lp", second_node_times_out)
+    res = solve_milp(m, gap=0.0)
+    assert len(calls) == 2
+    assert res.status == STATUS_TIME_LIMIT
+    assert res.nodes == 2
+    assert res.bound is not None
+    assert res.bound <= brute_force_binary(m, 3) + 1e-9
 
 
 def test_simplex_refuses_oversized_dense_model():
