@@ -1,19 +1,28 @@
 """Truncated dynamic program over rooted trees with unit costs.
 
-States live per node: (attacks used in the subtree, whether the subtree
-root itself is attacked) maps sparsely to scaled values, where ``c`` is
-mu times the expected number of connections from the subtree root into its
-subtree and the stored value is mu times the expected connected pairs
-inside the subtree.  Children fold in right to left; each of the four
-cross-connection terms of a merge is floored at the scale, so the final
-value never exceeds the exact objective and undershoots it by at most
+A subtree's states are (attacks used, whether its root is attacked, c),
+where ``c`` is mu times the expected number of connections from the subtree
+root into its subtree, and each state's value is mu times the expected
+connected pairs inside the subtree.  Children fold in right to left; each of
+the four cross-connection terms of a merge is floored at the scale, so the
+final value never exceeds the exact objective and undershoots it by at most
 n(n-1)/(2 mu).
+
+A table is a set of parallel arrays sorted by (attacks, flag, c): attacks,
+flag, c, value, and the child row and rest row each state was merged from
+(-1 in a node's base table).  A merge forms every budget-feasible (rest row,
+child row) pair at once and keeps the least value per (attacks, flag, c); a
+tie goes to the first pair in the order rest key, child row, rest row.
+Within an (attacks, flag) group a state survives only if its value is
+strictly below that of every smaller-c state.
 
 All arithmetic is integer: probabilities are expressed over one common
 denominator (100 when every probability has two decimals, otherwise the
 exact binary denominators), which keeps the floor operations exact.  A
 naive float implementation misrounds cases like 100 * 0.7 * 0.2, whose
-float product sits just below 14.
+float product sits just below 14.  Arrays hold int64 when a bound on every
+intermediate, from n, mu and the denominator, fits, else Python ints
+(object arrays: exact, several times slower).
 """
 
 from __future__ import annotations
@@ -21,6 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from scnptree.evaluator import objective_tree
 from scnptree.instance import AttackVector, TreeInstance, build_path_table
@@ -50,10 +62,15 @@ class ApproxResult:
     transition_count: int
 
 
-# A table maps (attacks_used, root_attacked) to {scaled_connections:
-# (scaled_value, back)}; ``back`` is None for base states, else a pair of
-# child/rest state keys (attacks, flag, connections) for backtracking.
-_Table = dict[tuple[int, int], dict[int, tuple[int, object]]]
+class _Table(NamedTuple):
+    """One DP table, rows sorted by (attacks, flag, c)."""
+
+    attacks: np.ndarray
+    flag: np.ndarray
+    c: np.ndarray
+    value: np.ndarray
+    child_row: np.ndarray
+    rest_row: np.ndarray
 
 
 def _require_unit_costs(instance: TreeInstance) -> None:
@@ -78,41 +95,68 @@ def _scaled_probabilities(instance: TreeInstance) -> tuple[list[int], int]:
     return [int(f * den) for f in fracs], den
 
 
+def _int_dtype(n: int, mu: int, den: int) -> type:
+    """``np.int64`` when no DP intermediate can overflow it, else ``object``.
+
+    With numerators at most ``den``, c < mu*n and values < mu*n*n, the
+    largest intermediates are mu*den*den, den*mu*n, (mu*n)**2, and the
+    sort key and pruning shift, both below 2(n+1)*mu*n*n.
+    """
+    bound = max(mu * den * den, den * mu * n, (mu * n) ** 2, 2 * (n + 1) * mu * n * n)
+    return np.int64 if bound < 2**62 else object
+
+
 def _rooted_children(instance: TreeInstance, root: int) -> tuple[list[list[int]], list[int]]:
+    """Children of every node, and the nodes ordered with children first."""
     adjacency = instance.adjacency()
     children: list[list[int]] = [[] for _ in range(instance.node_count)]
-    postorder: list[int] = []
-    seen = [False] * instance.node_count
-    seen[root] = True
-    stack: list[tuple[int, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            postorder.append(node)
-            continue
-        stack.append((node, True))
-        for nxt in reversed(adjacency[node]):
-            if not seen[nxt]:
-                seen[nxt] = True
-                children[node].append(nxt)
-                stack.append((nxt, False))
-    return children, postorder
+    parent = [-1] * instance.node_count
+    order = [root]
+    for node in order:
+        children[node] = [nxt for nxt in reversed(adjacency[node]) if nxt != parent[node]]
+        for nxt in children[node]:
+            parent[nxt] = node
+        order.extend(children[node])
+    return children, order[::-1]
 
 
-def _prune(table: _Table) -> int:
-    """Keep, per (attacks, flag), only value-minimal states as c grows."""
-    kept = 0
-    for key, states in table.items():
-        best = None
-        reduced: dict[int, tuple[int, object]] = {}
-        for c in sorted(states):
-            value, back = states[c]
-            if best is None or value < best:
-                reduced[c] = (value, back)
-                best = value
-        table[key] = reduced
-        kept += len(reduced)
-    return kept
+def _merge(
+    rest: _Table, child: _Table, q: tuple[np.ndarray, ...], den: int, mu: int, budget: int
+) -> tuple[_Table, int]:
+    """Fold a child's table into its node's table; also count the pairs formed.
+
+    ``q`` holds the numerators, unattacked and attacked, of the node, the
+    child and the node whose probability advances c.
+    """
+    q_node, q_child, q_advance = q
+    # Pairs are formed child row major with child rows by attacks descending;
+    # within one (attacks, flag) that is the order rest key, child row, rest
+    # row, which the stable sort below keeps among equal values.
+    by_attacks_down = np.lexsort((child.c, child.flag, -child.attacks))
+    feasible = child.attacks[by_attacks_down, None] + rest.attacks[None, :] <= budget
+    ranks, rest_row = np.nonzero(feasible)
+    child_row = by_attacks_down[ranks]
+    flag = rest.flag[rest_row]
+    cell = 2 * (rest.attacks[rest_row] + child.attacks[child_row]) + flag
+    qn = q_node[flag]
+    qc = q_child[child.flag[child_row]]
+    c_rest = rest.c[rest_row]
+    c_child = child.c[child_row]
+    t3 = qn * c_child // den
+    c = c_rest + mu * qn * q_advance[child.flag[child_row]] // (den * den) + t3
+    value = rest.value[rest_row] + child.value[child_row] + mu * qn * qc // (den * den)
+    value += qc * c_rest // den + t3 + c_child * c_rest // mu
+    key = cell.astype(c.dtype) * (c.max() + 1) + c
+    order = np.lexsort((value, key))
+    # Sorted by (attacks, flag, c, value), a row survives if its value is
+    # strictly below every earlier value of its (attacks, flag) cell, which
+    # also drops all but the first least value per c.  Shifting each cell
+    # down by cell * (max value + 1) puts it wholly below the cells before
+    # it, so one running minimum restarts at every cell.
+    shifted = value[order] - cell[order].astype(c.dtype) * (value.max() + 1)
+    order = order[np.r_[True, shifted[1:] < np.minimum.accumulate(shifted)[:-1]]]
+    columns = (cell // 2, flag, c, value, child_row, rest_row)
+    return _Table(*(column[order] for column in columns)), len(rest_row)
 
 
 def dp_solve(
@@ -146,99 +190,54 @@ def dp_solve(
         )
 
     numerators, den = _scaled_probabilities(instance)
-    den_sq = den * den
-    children, postorder = _rooted_children(instance, root)
+    dtype = _int_dtype(n, mu, den)
+    q = [np.array([den, numerator], dtype) for numerator in numerators]
+    children, bottom_up = _rooted_children(instance, root)
+    # a node alone: unattacked, and attacked when the budget allows
+    lone = np.arange(min(budget, 1) + 1)
+    zeros, no_row = np.zeros(len(lone), dtype), np.full(len(lone), -1)
+    base = _Table(lone, lone, zeros, zeros, no_row, no_row)
 
-    def base_table() -> _Table:
-        table: _Table = {(0, 0): {0: (0, None)}}
-        if budget >= 1:
-            table[(1, 1)] = {0: (0, None)}
-        return table
-
-    state_count = 0
     transition_count = 0
-    # levels[node][i] = table after folding children[node][i:]; the last
-    # level is the node alone, level 0 is the finished subtree table.
+    # levels[node][i]: the table after folding children[node][i:]
     levels: dict[int, list[_Table]] = {}
-
-    for node in postorder:
+    for node in bottom_up:
         kids = children[node]
-        node_levels: list[_Table] = [base_table()]
-        state_count += sum(len(states) for states in node_levels[0].values())
+        node_levels = [base]
         for position in range(len(kids) - 1, -1, -1):
             child = kids[position]
-            child_table = levels[child][0]
-            rest_table = node_levels[-1]
-            advance = child
-            if literal_advance and position + 1 < len(kids):
-                advance = kids[position + 1]
-            merged: _Table = {}
-            for (rest_attacks, flag), rest_states in sorted(rest_table.items()):
-                q_node = numerators[node] if flag else den
-                for (child_attacks, child_flag), child_states in sorted(child_table.items()):
-                    attacks = rest_attacks + child_attacks
-                    if attacks > budget:
-                        continue
-                    q_child = numerators[child] if child_flag else den
-                    q_advance = numerators[advance] if child_flag else den
-                    t1 = mu * q_node * q_child // den_sq
-                    t1_advance = mu * q_node * q_advance // den_sq
-                    slot = merged.setdefault((attacks, flag), {})
-                    for c_child, (val_child, _) in sorted(child_states.items()):
-                        t3 = q_node * c_child // den
-                        for c_rest, (val_rest, _) in sorted(rest_states.items()):
-                            transition_count += 1
-                            t2 = q_child * c_rest // den
-                            t4 = c_child * c_rest // mu
-                            c_new = c_rest + t1_advance + t3
-                            val_new = val_child + val_rest + t1 + t2 + t3 + t4
-                            known = slot.get(c_new)
-                            if known is None or val_new < known[0]:
-                                slot[c_new] = (
-                                    val_new,
-                                    (
-                                        (child_attacks, child_flag, c_child),
-                                        (rest_attacks, flag, c_rest),
-                                    ),
-                                )
-            state_count += _prune(merged)
+            literal = literal_advance and position + 1 < len(kids)
+            advance = kids[position + 1] if literal else child
+            merged, transitions = _merge(
+                node_levels[-1], levels[child][0], (q[node], q[child], q[advance]), den, mu, budget
+            )
+            transition_count += transitions
             node_levels.append(merged)
-        node_levels.reverse()
-        levels[node] = node_levels
+        levels[node] = node_levels[::-1]
 
-    root_table = levels[root][0]
-    best: tuple[int, int, int, int] | None = None
-    for (attacks, flag), states in sorted(root_table.items()):
-        for c, (value, _) in sorted(states.items()):
-            key = (value, attacks, flag, c)
-            if best is None or key < best:
-                best = key
-    assert best is not None
-    best_value, best_attacks, best_flag, best_c = best
+    # rows are sorted by (attacks, flag, c), so the first least value is
+    # the least (value, attacks, flag, c)
+    best_row = int(np.argmin(levels[root][0].value))
 
+    # a merged row keeps its rest row's flag, so a node's level-0 row says
+    # whether the node itself is attacked
     attacked: list[int] = []
-    stack: list[tuple[int, int, tuple[int, int], int]] = [
-        (root, 0, (best_attacks, best_flag), best_c)
-    ]
+    stack = [(root, best_row)]
     while stack:
-        node, level_index, key, c = stack.pop()
-        value, back = levels[node][level_index][key][c]
-        if back is None:
-            if key[1] == 1:
-                attacked.append(node)
-            continue
-        child_state, rest_state = back
-        child = children[node][level_index]
-        stack.append((child, 0, (child_state[0], child_state[1]), child_state[2]))
-        stack.append((node, level_index + 1, (rest_state[0], rest_state[1]), rest_state[2]))
+        node, row = stack.pop()
+        if levels[node][0].flag[row] == 1:
+            attacked.append(node)
+        for table, child in zip(levels[node], children[node]):
+            stack.append((child, int(table.child_row[row])))
+            row = int(table.rest_row[row])
 
     attack = AttackVector.from_nodes(attacked, n)
     exact = objective_tree(instance, build_path_table(instance), attack)
     return ApproxResult(
-        truncated_value=best_value / mu,
+        truncated_value=int(levels[root][0].value[best_row]) / mu,
         attack=attack,
         exact_value=exact,
         slack_bound=n * (n - 1) / (2.0 * mu),
-        state_count=state_count,
+        state_count=sum(len(t.attacks) for tables in levels.values() for t in tables),
         transition_count=transition_count,
     )

@@ -244,16 +244,19 @@ def _linprog_solve(
     options = {}
     if time_limit is not None:
         options["time_limit"] = max(float(time_limit), 1e-3)
-    res = linprog(
-        arrays["c"],
+    problem = dict(
+        c=arrays["c"],
         A_ub=arrays["a_ub"] if arrays["ub_rows"] else None,
         b_ub=arrays["b_ub"] if arrays["ub_rows"] else None,
         A_eq=arrays["a_eq"] if arrays["eq_rows"] else None,
         b_eq=arrays["b_eq"] if arrays["eq_rows"] else None,
         bounds=bounds,
         method="highs",
-        options=options,
     )
+    res = linprog(**problem, options=options)
+    if res.status == 4:
+        # presolve left the verdict open; the simplex alone settles it
+        res = linprog(**problem, options={**options, "presolve": False})
     if res.status == 2:
         return SolveResult(status=STATUS_INFEASIBLE, iterations=int(res.nit))
     if res.status == 3:

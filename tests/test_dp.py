@@ -1,12 +1,13 @@
-"""Truncated dynamic program: hand cases, the two-sided value sandwich,
-input validation, and the corrected child-merge advance."""
+"""Truncated dynamic program: hand cases, the two-sided value sandwich on
+random and degenerate trees, pinned results, the integer type, input
+validation, and the corrected child-merge advance."""
 
 import numpy as np
 import pytest
 
 import oracles
-from scnptree import dp_solve, make_instance
-from scnptree.dp import NonUnitCosts, StateOverflow
+from scnptree import dp_solve, generate_instance, make_instance
+from scnptree.dp import NonUnitCosts, StateOverflow, _int_dtype, _scaled_probabilities
 from scnptree.evaluator import objective_tree
 from scnptree.instance import AttackVector, build_path_table
 
@@ -57,6 +58,77 @@ def test_value_sandwich_against_brute_force(nu):
         assert sum(res.attack.flags) <= k
         replay = objective_tree(inst, build_path_table(inst), res.attack)
         assert replay == pytest.approx(res.exact_value, abs=1e-9)
+
+
+def star(n):
+    return [(0, i) for i in range(1, n)]
+
+
+def path(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+# (node count, edges, survival probabilities, max attacks); 1/3 and 0.123
+# have no two-decimal form, so they take the Python-int arithmetic
+DEGENERATE_TREES = {
+    "n1": (1, [], [0.4], 1),
+    "n1-k0": (1, [], [0.0], 0),
+    "n2": (2, [(0, 1)], [0.3, 0.9], 1),
+    "n2-k2": (2, [(0, 1)], [0.0, 1.0], 2),
+    "path-k0": (6, path(6), [0.2, 0.5, 0.0, 0.9, 0.33, 0.7], 0),
+    "star-k0": (6, star(6), [0.1, 0.6, 0.8, 0.0, 1.0, 0.45], 0),
+    "star-k-n-minus-1": (7, star(7), [0.5, 0.2, 0.9, 0.1, 0.6, 0.3, 0.75], 6),
+    "path-k-above-n": (6, path(6), [0.5, 0.25, 0.9, 0.1, 0.6, 0.3], 9),
+    "path-p-0-1": (7, path(7), [0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], 2),
+    "star-p-0-1": (7, star(7), [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0], 3),
+    "star-thirds": (6, star(6), [1 / 3] * 6, 2),
+    "path-non-decimal": (7, path(7), [0.123, 1 / 3, 0.5, 0.123, 0.9, 2 / 3, 0.0], 2),
+    "star-non-decimal-p-0-1": (6, star(6), [1 / 3, 0.123, 1.0, 0.0, 0.123, 1.0], 4),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE_TREES)
+def test_degenerate_trees_keep_the_sandwich(case):
+    n, edges, probabilities, k = DEGENERATE_TREES[case]
+    inst = make_instance(n, edges, probabilities, [1.0] * n, None, float(k))
+    _, opt = oracles.brute_force_optimum(inst)
+    table = build_path_table(inst)
+    for nu in (2, 4):
+        for root in range(n):
+            res = dp_solve(inst, max_attacks=k, nu=nu, root=root)
+            assert res.truncated_value <= opt + 1e-9
+            assert opt - 1e-9 <= res.exact_value <= res.truncated_value + res.slack_bound + 1e-9
+            assert sum(res.attack.flags) <= k
+            assert objective_tree(inst, table, res.attack) == pytest.approx(res.exact_value, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "n, seed, k, nu, root, value, attacked, states, transitions",
+    [
+        (80, 801, 8, 4, 0, 264.7855, [28, 29, 53, 55, 67, 68, 77, 78], 4232, 13215),
+        (120, 1203, 12, 3, 0, 617.657, [7, 10, 30, 43, 50, 52, 59, 71, 73, 84, 103, 118], 17502, 62675),
+        # two attack sets reach the same value here; only the tie rule picks
+        (17, 270, 3, 2, 14, 55.19, [1, 7, 12], 166, 238),
+    ],
+)
+def test_pinned_generator_instances(n, seed, k, nu, root, value, attacked, states, transitions):
+    # recorded from the dict-based DP that preceded the array tables: the
+    # same states are explored and ties between equal values break the same way
+    res = dp_solve(generate_instance(n, "unit", seed), max_attacks=k, nu=nu, root=root)
+    assert res.truncated_value == value
+    assert res.attack == AttackVector.from_nodes(attacked, n)
+    assert (res.state_count, res.transition_count) == (states, transitions)
+
+
+def test_generator_instances_take_int64():
+    # object arrays are exact too, but several times slower
+    for n in range(1, 201):
+        _, den = _scaled_probabilities(generate_instance(n, "unit", n))
+        for nu in range(1, 5):
+            assert _int_dtype(n, 10**nu, den) is np.int64
+    binary = make_instance(3, path(3), [1 / 3, 0.5, 0.123], [1.0] * 3, None, 1.0)
+    _, den = _scaled_probabilities(binary)
+    assert _int_dtype(3, 10**2, den) is object
 
 
 def test_fine_truncation_recovers_the_optimum():

@@ -241,16 +241,17 @@ def test_highs_paths_report_a_time_limit_stop(backend):
     assert solve_lp(m, backend=backend).status == STATUS_OPTIMAL
 
 
-def test_session_settles_a_run_that_presolve_leaves_open():
-    # HiGHS's presolve ends this unbounded LP with status Unknown; the
-    # session re-solves it without presolve
+@pytest.mark.parametrize("backend", ["highs", "linprog"], indirect=True)
+def test_highs_paths_settle_a_run_that_presolve_leaves_open(backend):
+    # HiGHS's presolve ends this unbounded LP with status Unknown; both
+    # HiGHS paths re-solve it without presolve
     m = LinearModel()
     m.add_variable("x0", 0.0, 1.0, -2.0)
     m.add_variable("x1", -1.0, 1.0, 2.0)
     m.add_variable("x2", -1.0, math.inf, -1.0)
     m.add_row("a", [1], [1.0], LESS_EQUAL, -1.0)
     m.add_row("b", [0, 2], [1.0, 1.0], GREATER_EQUAL, 0.0)
-    assert solve_lp(m).status == STATUS_UNBOUNDED
+    assert solve_lp(m, backend=backend).status == STATUS_UNBOUNDED
     assert solve_lp(m, backend="simplex").status == STATUS_UNBOUNDED
 
 
