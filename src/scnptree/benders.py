@@ -276,7 +276,7 @@ def bd_scnp(
         raise ValueError("eps must be positive")
     start = time.perf_counter()
     paths = build_path_table(instance)
-    pairs = sorted(paths.pairs())
+    pairs = list(paths.pairs())
     master, attack_cols, z_cols = _build_master(instance, pairs, use_valid_ineq)
     master_gap = min(1e-6, max(eps * 0.25, 1e-12))
 

@@ -55,7 +55,7 @@ def pair_survival(instance: TreeInstance, paths: PathTable, flag_rows: np.ndarra
 def pair_costs(instance: TreeInstance, paths: PathTable) -> np.ndarray:
     """Connection cost of every pair in ``paths.pairs()`` order."""
     if instance.connection_cost is None:
-        return np.ones(len(paths.paths))
+        return np.ones(paths.slots.shape[1])
     return np.array([instance.connection_cost.get(pair, 1.0) for pair in paths.pairs()])
 
 

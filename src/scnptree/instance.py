@@ -4,15 +4,18 @@ Node indices are 0-based contiguous integers.  Connection costs are kept
 sparse: ``None`` means "all pairs cost 1", otherwise a mapping from ordered
 pairs (i, j) with i < j to nonnegative floats, with unlisted pairs
 defaulting to 1.  Instances and path tables are immutable after
-construction and safe to share across threads.
+construction (a path table builds its node sequences once, on first use)
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -206,84 +209,92 @@ def validate(instance: TreeInstance) -> TreeInstance:
     return instance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathTable:
-    """All unique tree paths, plus the index arrays of their survival products.
+    """The index arrays of every pair's path survival product.
 
-    ``paths`` maps each pair (i, j) with i < j to the node sequence from i
-    to j inclusive.  The tree is rooted at node 0: ``parent`` maps each
-    node to its parent (the root to itself) and ``levels`` is the height
-    plus two.  ``slots`` holds, per pair in ``pairs()`` order, the two
-    positions in ``evaluator.pair_survival``'s upward table whose product
-    is the pair's path.
+    The tree is rooted at node 0.  ``parent`` maps each node to its parent
+    (the root to itself) and ``levels`` is the height plus two.  Pairs
+    (i, j) with i < j are taken in lexicographic order, the column order of
+    ``evaluator.pair_survival`` and of every per-pair array.  A pair's path
+    is two upward runs: from i to just below the lowest common ancestor,
+    and from j to the ancestor inclusive.  ``slots`` has shape (2, pairs)
+    and holds each run as length * n + start, its position in
+    ``pair_survival``'s flattened upward table.
+
+    ``paths``, the node sequence of every pair, is built from these arrays
+    on first access; the evaluation kernel never reads it.
     """
 
     node_count: int
-    paths: Mapping[tuple[int, int], tuple[int, ...]]
-    parent: np.ndarray = field(repr=False, compare=False)
-    levels: int = field(repr=False, compare=False)
-    slots: np.ndarray = field(repr=False, compare=False)
+    parent: np.ndarray = field(repr=False)
+    levels: int = field(repr=False)
+    slots: np.ndarray = field(repr=False)
+
+    @cached_property
+    def paths(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Node sequence from i to j inclusive for each pair (i, j), i < j."""
+        parent = self.parent.tolist()
+        chains = []  # each node's path up to the root
+        for node in range(self.node_count):
+            chain = [node]
+            while parent[chain[-1]] != chain[-1]:
+                chain.append(parent[chain[-1]])
+            chains.append(chain)
+        runs = (self.slots // self.node_count).T.tolist()
+        return {
+            (i, j): tuple(chains[i][:up] + chains[j][down - 1 :: -1])
+            for (i, j), (up, down) in zip(self.pairs(), runs)
+        }
 
     def path(self, i: int, j: int) -> tuple[int, ...]:
         """Node sequence of the unique i-j path, oriented from min(i,j)."""
         return self.paths[normalize_pair(i, j)]
 
-    def pairs(self) -> Iterable[tuple[int, int]]:
-        return self.paths.keys()
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """Every pair (i, j) with i < j, in lexicographic order."""
+        return itertools.combinations(range(self.node_count), 2)
 
 
 def build_path_table(instance: TreeInstance) -> PathTable:
-    """Materialize every pairwise path with one DFS per source node.
+    """Index arrays of every pairwise path from one preorder traversal.
 
-    Walked from its source, a path climbs toward the root up to the pair's
-    lowest common ancestor and descends after it, so each DFS step carries
-    that ancestor forward in O(1).
+    Each subtree is a contiguous run of the preorder, so one slice
+    assignment per node, parents first, fills the table of lowest common
+    ancestor depths for all pairs at once.  No node sequence is built.
     """
     n = instance.node_count
     adj = instance.adjacency()
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    ancestors: list[int] = []
+    parent = [0] * n
     depth = [0] * n
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        for nxt in adj[node]:
+            if nxt != parent[node]:
+                parent[nxt] = node
+                depth[nxt] = depth[node] + 1
+                stack.append(nxt)
+    size = [1] * n
+    for node in reversed(order[1:]):
+        size[parent[node]] += size[node]
 
-    for source in range(n):
-        order: list[tuple[int, int]] = []
-        parent = [-1] * n
-        stack = [source]
-        seen = [False] * n
-        seen[source] = True
-        while stack:
-            node = stack.pop()
-            if node != source:
-                order.append((node, parent[node]))
-            # Reversed push keeps the visit order ascending by neighbor index.
-            for nxt in reversed(adj[node]):
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    parent[nxt] = node
-                    stack.append(nxt)
-        if source == 0:  # always the first source: it roots the tree
-            root_parent = parent
-            root_parent[0] = 0
-            for node, par in order:
-                depth[node] = depth[par] + 1
-        # Rebuild explicit sequences only for pairs this source owns (j > source).
-        route: list[tuple[int, ...]] = [()] * n
-        route[source] = (source,)
-        top = [source] * n
-        for node, par in order:
-            route[node] = route[par] + (node,)
-            top[node] = node if root_parent[par] == node else top[par]
-            if node > source:
-                paths[(source, node)] = route[node]
-                ancestors.append(top[node])
-
-    ends = np.array(list(paths), dtype=np.intp).reshape(-1, 2).T
-    depth_of = np.array(depth)
+    lca_depth = np.empty((n, n), dtype=np.intp)
+    for pos, node in enumerate(order):
+        stop = pos + size[node]
+        lca_depth[pos:stop, pos:stop] = depth[node]
+    where = np.empty(n, dtype=np.intp)
+    where[order] = np.arange(n)
+    ends = np.array(np.triu_indices(n, 1))
+    depth_of = np.array(depth, dtype=np.intp)
     # Run lengths up from each end; the second run includes the ancestor.
-    slots = (depth_of[ends] - depth_of[ancestors] + [[0], [1]]) * n + ends
-    parent_of = np.array(root_parent, dtype=np.intp)
+    runs = depth_of[ends] - lca_depth[where[ends[0]], where[ends[1]]] + [[0], [1]]
+    slots = runs * n + ends
+    parent_of = np.array(parent, dtype=np.intp)
     parent_of.flags.writeable = slots.flags.writeable = False
-    return PathTable(node_count=n, paths=paths, parent=parent_of, levels=max(depth) + 2, slots=slots)
+    return PathTable(node_count=n, parent=parent_of, levels=max(depth) + 2, slots=slots)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,9 @@ class _Session:
     def __init__(self, model: LinearModel) -> None:
         highs = _binding._Highs()
         highs.setOptionValue("output_flag", False)
+        # Presolve runs only on a cold start, and when it leaves the status
+        # open HiGHS prints a line to stdout that no option silences.
+        highs.setOptionValue("presolve", "off")
         n = model.num_variables
         lower, upper, start, index, value = _row_block(model, 0)
         status = highs.passModel(
@@ -124,17 +127,7 @@ class _Session:
             limit = highs.getRunTime() + max(time_limit, 1e-3)
         highs.setOptionValue("time_limit", limit)
         highs.run()
-        status = highs.getModelStatus()
-        iterations = max(highs.getInfo().simplex_iteration_count, 0)
-        codes = _binding.HighsModelStatus
-        if status in (codes.kUnboundedOrInfeasible, codes.kUnknown):
-            # presolve left the verdict open; the simplex alone settles it
-            highs.setOptionValue("presolve", "off")
-            highs.run()
-            highs.setOptionValue("presolve", "choose")
-            status = highs.getModelStatus()
-            iterations += max(highs.getInfo().simplex_iteration_count, 0)
-        return status, iterations
+        return highs.getModelStatus(), max(highs.getInfo().simplex_iteration_count, 0)
 
 
 def _session(model: LinearModel) -> _Session:
@@ -241,10 +234,10 @@ def _linprog_solve(
         (None if math.isinf(l) else l, None if math.isinf(u) else u)
         for l, u in zip(lo, hi)
     ]
-    options = {}
+    options = {"presolve": False}  # see _Session: presolve may print to stdout
     if time_limit is not None:
         options["time_limit"] = max(float(time_limit), 1e-3)
-    problem = dict(
+    res = linprog(
         c=arrays["c"],
         A_ub=arrays["a_ub"] if arrays["ub_rows"] else None,
         b_ub=arrays["b_ub"] if arrays["ub_rows"] else None,
@@ -252,11 +245,8 @@ def _linprog_solve(
         b_eq=arrays["b_eq"] if arrays["eq_rows"] else None,
         bounds=bounds,
         method="highs",
+        options=options,
     )
-    res = linprog(**problem, options=options)
-    if res.status == 4:
-        # presolve left the verdict open; the simplex alone settles it
-        res = linprog(**problem, options={**options, "presolve": False})
     if res.status == 2:
         return SolveResult(status=STATUS_INFEASIBLE, iterations=int(res.nit))
     if res.status == 3:
@@ -300,12 +290,14 @@ def solve_lp(
 
     HiGHS (``auto`` or ``highs``) reuses the model's session, so repeated
     solves of one model, such as branch-and-bound nodes, start from the
-    last basis; it maps a ``time_limit`` stop to TimeLimit and ignores
-    ``max_iterations``.  The built-in simplex ignores ``time_limit``.
+    last basis; it ignores ``max_iterations``.  Both backends map a
+    ``time_limit`` stop to TimeLimit.
     """
     chosen = resolve_backend(model, backend)
     if chosen == "simplex":
-        return simplex_solve(model, max_iterations=max_iterations, lower=lower, upper=upper)
+        return simplex_solve(
+            model, max_iterations=max_iterations, lower=lower, upper=upper, time_limit=time_limit
+        )
     if _binding is None:
         return _linprog_solve(model, lower, upper, time_limit)
     return _session_solve(model, lower, upper, time_limit)

@@ -11,6 +11,7 @@ Pricing is Dantzig with a Bland fallback after a long degenerate streak.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from scnptree.milpcore.model import (
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
+    STATUS_TIME_LIMIT,
     STATUS_UNBOUNDED,
     LinearModel,
     NumericalFailure,
@@ -45,12 +47,16 @@ def simplex_solve(
     max_iterations: int | None = None,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
+    time_limit: float | None = None,
 ) -> SolveResult:
     """LP solve of the model's continuous relaxation with row duals.
 
-    ``lower``/``upper`` override the model's variable bounds (used by the
-    branch-and-bound driver); integrality flags are ignored here.
+    ``lower``/``upper`` override the model's variable bounds (used by
+    branch and bound); integrality flags are ignored here.  The clock is
+    read once per pivot: past ``time_limit`` seconds the solve ends with
+    TimeLimit.
     """
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     m = model.num_rows
     n = model.num_variables
     var_lower = np.asarray(model.lower if lower is None else lower, dtype=float)
@@ -132,6 +138,8 @@ def simplex_solve(
         while True:
             if iterations >= limit:
                 return STATUS_ITERATION_LIMIT
+            if deadline is not None and time.perf_counter() > deadline:
+                return STATUS_TIME_LIMIT
             y = b_inv.T @ cost[basis] if m else np.zeros(0)
             d = cost - a.T @ y
             improving = np.zeros(total, dtype=bool)
@@ -254,10 +262,8 @@ def simplex_solve(
     x[art0:][status[art0:] != 0] = 0.0
 
     outcome = run_phase(phase2_cost, phase1=False)
-    if outcome == STATUS_ITERATION_LIMIT:
+    if outcome != STATUS_OPTIMAL:
         return SolveResult(status=outcome, iterations=iterations)
-    if outcome == STATUS_UNBOUNDED:
-        return SolveResult(status=STATUS_UNBOUNDED, iterations=iterations)
     refactor()
     x_struct = x[:n].copy()
     np.clip(x_struct, var_lower, var_upper, out=x_struct)

@@ -1,6 +1,7 @@
 """Truncated dynamic program: hand cases, the two-sided value sandwich on
-random and degenerate trees, pinned results, the integer type, input
-validation, and the corrected child-merge advance."""
+random and degenerate trees and around the chain MILP at n = 30-40, pinned
+results, the integer type, input validation, and the corrected child-merge
+advance."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from scnptree import dp_solve, generate_instance, make_instance
 from scnptree.dp import NonUnitCosts, StateOverflow, _int_dtype, _scaled_probabilities
 from scnptree.evaluator import objective_tree
 from scnptree.instance import AttackVector, build_path_table
+from scnptree.milpcore import STATUS_OPTIMAL, solve_milp
+from scnptree.models import build_chain_milp
 
 
 def unit_instance(rng, n, max_attacks):
@@ -140,6 +143,21 @@ def test_fine_truncation_recovers_the_optimum():
         res = dp_solve(inst, max_attacks=k, nu=6)
         _, opt = oracles.brute_force_optimum(inst)
         assert res.exact_value == pytest.approx(opt, abs=1e-4)
+
+
+@pytest.mark.parametrize("n, seed", [(30, 1), (30, 2), (30, 3), (40, 1)])
+def test_sandwich_holds_around_the_chain_milp(n, seed):
+    # past exhaustive search, the shared-prefix chain MILP closed to an
+    # absolute gap of 1e-6 stands in for the optimum
+    inst = generate_instance(n, "unit", seed)
+    k = int(inst.budget + 1e-9)
+    res = dp_solve(inst, max_attacks=k, nu=5)
+    model, _ = build_chain_milp(inst, build_path_table(inst), share_prefixes=True, add_valid_ineq=True)
+    milp = solve_milp(model, gap=1e-6)
+    assert milp.status == STATUS_OPTIMAL
+    assert res.truncated_value <= milp.objective + 1e-9
+    assert milp.objective <= res.truncated_value + res.slack_bound + 1e-6
+    assert res.exact_value >= milp.objective - 1e-6
 
 
 def test_root_choice_does_not_change_the_value():

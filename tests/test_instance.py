@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scnptree.evaluator import batch_objective, objective_tree, pair_survival
 from scnptree.instance import (
     AttackVector,
     InstanceError,
@@ -151,6 +152,95 @@ def test_path_orientation_starts_at_smaller_node():
     table = build_path_table(inst)
     assert table.path(3, 0) == (0, 1, 3)
     assert table.path(0, 3) == (0, 1, 3)
+
+
+def _reference_table(inst):
+    """parent, levels and slots by walking parent pointers pair by pair."""
+    n = inst.node_count
+    adj = inst.adjacency()
+    parent, depth, queue = {0: 0}, {0: 0}, [0]
+    for node in queue:
+        for nxt in adj[node]:
+            if nxt not in parent:
+                parent[nxt], depth[nxt] = node, depth[node] + 1
+                queue.append(nxt)
+
+    chains = []
+    for node in range(n):
+        chain = [node]
+        while chain[-1] != 0:
+            chain.append(parent[chain[-1]])
+        chains.append(chain)
+
+    slots = []
+    for i in range(n):
+        above_i = set(chains[i])
+        for j in range(i + 1, n):
+            top = next(a for a in chains[j] if a in above_i)
+            slots.append(((depth[i] - depth[top]) * n + i, (depth[j] - depth[top] + 1) * n + j))
+    levels = max(depth.values()) + 2
+    return [parent[i] for i in range(n)], levels, np.array(slots, dtype=int).reshape(-1, 2).T
+
+
+def _assert_table_matches_reference(inst):
+    table = build_path_table(inst)
+    parent, levels, slots = _reference_table(inst)
+    assert table.parent.tolist() == parent
+    assert table.levels == levels
+    assert np.array_equal(table.slots, slots)
+    return table
+
+
+def _assert_columns_are_path_products(inst, table, rng):
+    rows = rng.integers(0, 2, size=(3, inst.node_count))
+    factors = 1.0 - (1.0 - np.array(inst.survival_prob)) * rows
+    expected = [factors[:, list(table.path(i, j))].prod(axis=1) for i, j in table.pairs()]
+    survival = pair_survival(inst, table, rows)
+    assert survival.shape == (3, len(expected))
+    np.testing.assert_allclose(survival, np.reshape(expected, (-1, 3)).T, rtol=1e-12, atol=0.0)
+
+
+def _unit_tree(n, edges):
+    return make_instance(n, edges, [0.5 + 0.01 * (k % 40) for k in range(n)], [1.0] * n, None, 1.0)
+
+
+def test_path_table_of_a_single_node():
+    inst = _unit_tree(1, [])
+    table = _assert_table_matches_reference(inst)
+    assert table.slots.shape == (2, 0)
+    assert list(table.pairs()) == []
+    assert table.paths == {}
+    assert pair_survival(inst, table, np.ones((2, 1))).shape == (2, 0)
+    assert objective_tree(inst, table, AttackVector((1,))) == 0.0
+    assert batch_objective(inst, table, np.zeros((2, 1))).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "n, edges, levels",
+    [
+        (2, [(0, 1)], 3),
+        (10, [(0, k) for k in range(1, 10)], 3),  # star around the root
+        (10, [(4, k) for k in range(10) if k != 4], 4),  # star around a leaf's neighbour
+        (200, [(k, k + 1) for k in range(199)], 201),  # path rooted at one end
+        (200, [(k, (k + 101) % 200) for k in range(199)], 102),  # path rooted inside
+    ],
+    ids=["two", "star-root", "star-leaf", "path200-end", "path200-inner"],
+)
+def test_path_table_on_degenerate_trees(n, edges, levels):
+    inst = _unit_tree(n, edges)
+    table = _assert_table_matches_reference(inst)
+    assert table.levels == levels
+    _assert_columns_are_path_products(inst, table, np.random.default_rng(n))
+
+
+def test_path_table_matches_parent_pointer_reference():
+    rng = np.random.default_rng(17)
+    for n in list(range(1, 13)) + [int(k) for k in rng.integers(13, 61, size=20)]:
+        inst = oracles.random_tree_instance(rng, n)
+        table = _assert_table_matches_reference(inst)
+        assert list(table.pairs()) == sorted(table.pairs())
+        assert list(table.pairs()) == list(table.paths)
+        _assert_columns_are_path_products(inst, table, rng)
 
 
 def test_attack_vector_constructors_and_cost():

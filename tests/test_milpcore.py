@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -227,9 +228,7 @@ def test_session_solves_a_feasible_node_after_an_infeasible_one():
     assert res.x == pytest.approx([1.0, 0.75])
 
 
-@pytest.mark.parametrize("backend", ["highs", "linprog"], indirect=True)
-def test_highs_paths_report_a_time_limit_stop(backend):
-    # a dense 400 x 400 LP takes far longer than the 1 ms limit
+def _dense_lp() -> LinearModel:
     rng = np.random.default_rng(5)
     m = LinearModel("dense")
     for j in range(400):
@@ -237,14 +236,22 @@ def test_highs_paths_report_a_time_limit_stop(backend):
     for r in range(400):
         coefs = [float(v) for v in rng.uniform(0.1, 1.0, size=400)]
         m.add_row(f"r{r}", list(range(400)), coefs, LESS_EQUAL, float(rng.uniform(5.0, 20.0)))
+    return m
+
+
+@pytest.mark.parametrize("backend", ["highs", "linprog"], indirect=True)
+def test_highs_paths_report_a_time_limit_stop(backend):
+    # a dense 400 x 400 LP takes far longer than the 1 ms limit
+    m = _dense_lp()
     assert solve_lp(m, backend=backend, time_limit=1e-3).status == STATUS_TIME_LIMIT
     assert solve_lp(m, backend=backend).status == STATUS_OPTIMAL
 
 
 @pytest.mark.parametrize("backend", ["highs", "linprog"], indirect=True)
-def test_highs_paths_settle_a_run_that_presolve_leaves_open(backend):
-    # HiGHS's presolve ends this unbounded LP with status Unknown; both
-    # HiGHS paths re-solve it without presolve
+def test_highs_paths_settle_a_run_that_presolve_leaves_open(backend, capfd):
+    # HiGHS's presolve ends this unbounded LP with status Unknown and prints
+    # a line to stdout that no output option silences; neither HiGHS path
+    # runs presolve, so both settle it and stay silent
     m = LinearModel()
     m.add_variable("x0", 0.0, 1.0, -2.0)
     m.add_variable("x1", -1.0, 1.0, 2.0)
@@ -252,7 +259,18 @@ def test_highs_paths_settle_a_run_that_presolve_leaves_open(backend):
     m.add_row("a", [1], [1.0], LESS_EQUAL, -1.0)
     m.add_row("b", [0, 2], [1.0, 1.0], GREATER_EQUAL, 0.0)
     assert solve_lp(m, backend=backend).status == STATUS_UNBOUNDED
+    assert capfd.readouterr().out == ""
     assert solve_lp(m, backend="simplex").status == STATUS_UNBOUNDED
+
+
+def test_simplex_stops_at_its_time_limit():
+    # the dense simplex needs about 15 s for this LP on a 2-core host; a
+    # 1 ms limit must end it well inside 0.5 s
+    m = _dense_lp()
+    started = time.perf_counter()
+    res = solve_lp(m, backend="simplex", time_limit=1e-3)
+    assert res.status == STATUS_TIME_LIMIT
+    assert time.perf_counter() - started < 0.5
 
 
 def test_session_time_limit_counts_from_each_solve():
