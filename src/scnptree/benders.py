@@ -250,7 +250,7 @@ def _build_master(
     use_valid_ineq: bool,
 ) -> tuple[LinearModel, tuple[int, ...], dict[tuple[int, int], int]]:
     model = LinearModel("interdiction_master")
-    attack_cols = _add_attack_block(model, instance, fix_certain=True, add_valid_ineq=use_valid_ineq)
+    attack_cols = _add_attack_block(model, instance, add_valid_ineq=use_valid_ineq)
     z_cols = {pair: model.add_variable(f"z_{pair[0]}_{pair[1]}", objective=1.0) for pair in pairs}
     return model, attack_cols, z_cols
 

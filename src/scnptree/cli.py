@@ -108,10 +108,7 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
         paths = build_path_table(instance)
         if method == "milp":
             model, index = models.build_chain_milp(
-                instance,
-                paths,
-                share_prefixes=params.get("share_prefixes", False),
-                add_valid_ineq=params.get("use_valid_ineq", True),
+                instance, paths, add_valid_ineq=params.get("use_valid_ineq", True)
             )
         else:
             model, index = models.build_ilp_p(instance, paths)
@@ -192,7 +189,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "use_valid_ineq": not args.no_vi,
         "backend": args.backend,
         "nu": args.nu,
-        "share_prefixes": args.share_prefixes,
         "trace_path": args.trace,
     }
     record = solve_instance(instance, args.method, params)
@@ -503,9 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-vi", action="store_true", help="drop leaf dominance rows")
     p_solve.add_argument("--time-limit", type=float, default=None, help="seconds")
     p_solve.add_argument("--nu", type=int, default=4, help="truncation decimals for --method dp")
-    p_solve.add_argument(
-        "--share-prefixes", action="store_true", help="share chain variables per start node"
-    )
     p_solve.add_argument("--backend", choices=("auto", "simplex", "highs"), default="auto")
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV (benders)")
     p_solve.add_argument("--out", default=None, help="also write the result record here")

@@ -23,7 +23,6 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from scnptree.milpcore.model import (
-    EQUAL,
     GREATER_EQUAL,
     LESS_EQUAL,
     STATUS_INFEASIBLE,
@@ -53,9 +52,6 @@ _MINIMIZE = 1  # HiGHS ObjSense.kMinimize
 # and a recycled address can never be mistaken for a cached model); the
 # revision guards against in-place mutation.
 _sessions: "weakref.WeakKeyDictionary[LinearModel, _Session]" = weakref.WeakKeyDictionary()
-_highs_cache: "weakref.WeakKeyDictionary[LinearModel, tuple[int, dict]]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def resolve_backend(model: LinearModel, backend: str) -> str:
@@ -174,60 +170,23 @@ def _session_solve(
     )
 
 
-def _highs_arrays(model: LinearModel) -> dict:
-    """Split rows into <= and = blocks for linprog, >= rows negated."""
-    cached = _highs_cache.get(model)
-    if cached is not None and cached[0] == model.revision:
-        return cached[1]
-    ub_rows: list[int] = []
-    ub_sign: list[float] = []
-    eq_rows: list[int] = []
-    for r, sense in enumerate(model.senses):
-        if sense == EQUAL:
-            eq_rows.append(r)
-        else:
-            ub_rows.append(r)
-            ub_sign.append(1.0 if sense == LESS_EQUAL else -1.0)
-
-    def block(rows: list[int], signs: list[float] | None) -> tuple:
-        data: list[float] = []
-        indices: list[int] = []
-        indptr = [0]
-        rhs = []
-        for k, r in enumerate(rows):
-            s = 1.0 if signs is None else signs[k]
-            indices.extend(model.row_cols[r])
-            data.extend(s * v for v in model.row_coefs[r])
-            indptr.append(len(indices))
-            rhs.append(s * model.rhs[r])
-        mat = sp.csr_matrix(
-            (data, indices, indptr), shape=(len(rows), model.num_variables)
-        )
-        return mat, np.array(rhs)
-
-    a_ub, b_ub = block(ub_rows, ub_sign)
-    a_eq, b_eq = block(eq_rows, None)
-    built = {
-        "ub_rows": ub_rows,
-        "ub_sign": ub_sign,
-        "eq_rows": eq_rows,
-        "a_ub": a_ub,
-        "b_ub": b_ub,
-        "a_eq": a_eq,
-        "b_eq": b_eq,
-        "c": np.array(model.objective, dtype=float),
-    }
-    _highs_cache[model] = (model.revision, built)
-    return built
-
-
 def _linprog_solve(
     model: LinearModel,
     lower: np.ndarray | None,
     upper: np.ndarray | None,
     time_limit: float | None,
 ) -> SolveResult:
-    arrays = _highs_arrays(model)
+    row_lo, row_hi, start, index, value = _row_block(model, 0)
+    # linprog takes = rows and <= rows; >= rows are negated into <= rows
+    ge = np.isinf(row_hi)
+    sign = np.where(ge, -1.0, 1.0)
+    matrix = sp.csr_matrix(
+        (value * np.repeat(sign, np.diff(start)), index, start),
+        shape=(model.num_rows, model.num_variables),
+    )
+    rhs = np.where(ge, -row_lo, row_hi)
+    eq_rows = np.flatnonzero(row_lo == row_hi)
+    ub_rows = np.flatnonzero(row_lo != row_hi)
     lo = np.asarray(model.lower if lower is None else lower, dtype=float)
     hi = np.asarray(model.upper if upper is None else upper, dtype=float)
     bounds = [
@@ -238,11 +197,11 @@ def _linprog_solve(
     if time_limit is not None:
         options["time_limit"] = max(float(time_limit), 1e-3)
     res = linprog(
-        c=arrays["c"],
-        A_ub=arrays["a_ub"] if arrays["ub_rows"] else None,
-        b_ub=arrays["b_ub"] if arrays["ub_rows"] else None,
-        A_eq=arrays["a_eq"] if arrays["eq_rows"] else None,
-        b_eq=arrays["b_eq"] if arrays["eq_rows"] else None,
+        c=np.array(model.objective, dtype=float),
+        A_ub=matrix[ub_rows] if len(ub_rows) else None,
+        b_ub=rhs[ub_rows] if len(ub_rows) else None,
+        A_eq=matrix[eq_rows] if len(eq_rows) else None,
+        b_eq=rhs[eq_rows] if len(eq_rows) else None,
         bounds=bounds,
         method="highs",
         options=options,
@@ -258,14 +217,10 @@ def _linprog_solve(
     if res.status != 0:
         raise NumericalFailure(f"highs backend failed: {res.message}")
     duals = np.zeros(model.num_rows)
-    if arrays["ub_rows"]:
-        marg = np.asarray(res.ineqlin.marginals, dtype=float)
-        for k, r in enumerate(arrays["ub_rows"]):
-            duals[r] = arrays["ub_sign"][k] * marg[k]
-    if arrays["eq_rows"]:
-        marg = np.asarray(res.eqlin.marginals, dtype=float)
-        for k, r in enumerate(arrays["eq_rows"]):
-            duals[r] = marg[k]
+    if len(ub_rows):
+        duals[ub_rows] = sign[ub_rows] * np.asarray(res.ineqlin.marginals, dtype=float)
+    if len(eq_rows):
+        duals[eq_rows] = np.asarray(res.eqlin.marginals, dtype=float)
     x = np.asarray(res.x, dtype=float)
     objective = float(res.fun)
     return SolveResult(

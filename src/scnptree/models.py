@@ -4,15 +4,15 @@ Two exact models over binary attack flags v_i:
 
 - build_chain_milp: per path-position survival variables s and removal
   variables r linearize the product of per-node survival factors along
-  every pair's path.  With prefix sharing enabled, all pairs starting at
-  the same node reuse one variable per reachable node (the paths from a
-  fixed start form a tree, so each position is a node).
+  every pair's path.  All pairs starting at the same node reuse one
+  variable set per reachable node (the paths from a fixed start form a
+  tree, so each position is a node).
 - build_ilp_p: when every node has the same survival probability p, only
   the number of attacked nodes on a path matters; selector variables pick
   that count per pair.
 
-Both attach the budget row; the chain model also fixes v_i = 0 where
-p_i = 1 and optionally adds leaf dominance rows.
+Both attach the budget row and fix v_i = 0 where p_i = 1; the chain model
+optionally adds leaf dominance rows.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ class ChainIndex:
 
     ``survival[(i, j)][k]`` is the column of the survival level after the
     path's (k+1)-th node; the last entry carries the pair's cost in the
-    objective.  ``removal`` mirrors it with the per-position removal mass.
+    objective.  Pairs with the same start node share the columns of their
+    common prefix.
     """
 
     attack: tuple[int, ...]
     survival: dict[tuple[int, int], tuple[int, ...]]
-    removal: dict[tuple[int, int], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ def valid_inequalities(instance: TreeInstance) -> tuple[tuple[int, int], ...]:
 def _add_attack_block(
     model: LinearModel,
     instance: TreeInstance,
-    fix_certain: bool,
     add_valid_ineq: bool,
 ) -> tuple[int, ...]:
     n = instance.node_count
@@ -88,10 +87,9 @@ def _add_attack_block(
         LESS_EQUAL,
         instance.budget,
     )
-    if fix_certain:
-        for i in range(n):
-            if instance.survival_prob[i] >= 1.0:
-                model.add_row(f"fix{i}", [attack[i]], [1.0], EQUAL, 0.0)
+    for i in range(n):
+        if instance.survival_prob[i] >= 1.0:
+            model.add_row(f"fix{i}", [attack[i]], [1.0], EQUAL, 0.0)
     if add_valid_ineq:
         for i, j in valid_inequalities(instance):
             model.add_row(f"dom_{i}_{j}", [attack[i], attack[j]], [1.0, -1.0], LESS_EQUAL, 0.0)
@@ -130,7 +128,6 @@ def _chain_rows(
 def build_chain_milp(
     instance: TreeInstance,
     paths: PathTable,
-    share_prefixes: bool = False,
     add_valid_ineq: bool = False,
 ) -> tuple[LinearModel, ChainIndex]:
     """Exact model: minimize total expected pairwise connection cost.
@@ -138,66 +135,27 @@ def build_chain_milp(
     Each pair's path carries a survival level s that starts at 1 and drops
     by the removal mass r at every node; at binary attack flags the final
     level equals the product of per-node survival factors, so the optimum
-    matches the exhaustive objective.  ``share_prefixes`` collapses each
-    start node's paths into one variable set per reachable node, which
-    shrinks the model without changing its optimal value or bound.
+    matches the exhaustive objective.  Paths from one start node i form a
+    tree, so pairs (i, j) share their common prefix: position (i, u) gets
+    one (s, r) column pair, created the first time a path from i meets u,
+    and carries the cost of pair (i, u) when u > i.
     """
-    model = LinearModel("chain" + ("_shared" if share_prefixes else ""))
-    attack = _add_attack_block(model, instance, fix_certain=True, add_valid_ineq=add_valid_ineq)
+    model = LinearModel("chain")
+    attack = _add_attack_block(model, instance, add_valid_ineq=add_valid_ineq)
     survival: dict[tuple[int, int], tuple[int, ...]] = {}
-    removal: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    if not share_prefixes:
-        for i, j in paths.pairs():
-            path = paths.path(i, j)
-            cost = instance.pair_cost(i, j)
-            s_cols: list[int] = []
-            r_cols: list[int] = []
-            for k, node in enumerate(path, start=1):
-                obj = cost if k == len(path) else 0.0
-                s_cols.append(model.add_variable(f"s_{i}_{j}_{k}", objective=obj))
-                r_cols.append(model.add_variable(f"r_{i}_{j}_{k}"))
-                prev = s_cols[-2] if k > 1 else None
-                _chain_rows(model, instance, attack, node, s_cols[-1], r_cols[-1], prev, f"{i}_{j}_{k}")
-            survival[(i, j)] = tuple(s_cols)
-            removal[(i, j)] = tuple(r_cols)
-        return model, ChainIndex(attack, survival, removal)
-
-    adjacency = instance.adjacency()
-    for source in range(instance.node_count):
-        # Paths from one source form a tree; keep only branches that still
-        # lead to a pair this source owns (targets above it).
-        parent: dict[int, int] = {source: -1}
-        order: list[int] = [source]
-        stack = [source]
-        while stack:
-            u = stack.pop()
-            for w in reversed(adjacency[u]):
-                if w not in parent:
-                    parent[w] = u
-                    order.append(w)
-                    stack.append(w)
-        keep = {u: u > source for u in order}
-        for u in reversed(order):
-            if keep[u] and u != source:
-                keep[parent[u]] = True
-        if not keep[source]:
-            continue
-        s_at: dict[int, int] = {}
-        r_at: dict[int, int] = {}
-        for u in order:
-            if not keep[u]:
-                continue
-            cost = instance.pair_cost(source, u) if u > source else 0.0
-            s_at[u] = model.add_variable(f"s_{source}_{u}", objective=cost)
-            r_at[u] = model.add_variable(f"r_{source}_{u}")
-            prev = s_at[parent[u]] if u != source else None
-            _chain_rows(model, instance, attack, u, s_at[u], r_at[u], prev, f"{source}_{u}")
-        for target in range(source + 1, instance.node_count):
-            path = paths.path(source, target)
-            survival[(source, target)] = tuple(s_at[u] for u in path)
-            removal[(source, target)] = tuple(r_at[u] for u in path)
-    return model, ChainIndex(attack, survival, removal)
+    s_at: dict[tuple[int, int], int] = {}
+    for i, j in paths.pairs():
+        cols: list[int] = []
+        for u in paths.path(i, j):
+            if (i, u) not in s_at:
+                cost = instance.pair_cost(i, u) if u > i else 0.0
+                s_at[i, u] = model.add_variable(f"s_{i}_{u}", objective=cost)
+                r_var = model.add_variable(f"r_{i}_{u}")
+                prev = cols[-1] if cols else None
+                _chain_rows(model, instance, attack, u, s_at[i, u], r_var, prev, f"{i}_{u}")
+            cols.append(s_at[i, u])
+        survival[i, j] = tuple(cols)
+    return model, ChainIndex(attack, survival)
 
 
 def build_ilp_p(
@@ -220,7 +178,7 @@ def build_ilp_p(
     max_attacks = int(instance.budget / min(instance.attack_cost) + 1e-9)
 
     model = LinearModel("uniform_p")
-    attack = _add_attack_block(model, instance, fix_certain=False, add_valid_ineq=False)
+    attack = _add_attack_block(model, instance, add_valid_ineq=False)
     selector: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, j in paths.pairs():
         path = paths.path(i, j)

@@ -147,12 +147,12 @@ def test_fine_truncation_recovers_the_optimum():
 
 @pytest.mark.parametrize("n, seed", [(30, 1), (30, 2), (30, 3), (40, 1)])
 def test_sandwich_holds_around_the_chain_milp(n, seed):
-    # past exhaustive search, the shared-prefix chain MILP closed to an
-    # absolute gap of 1e-6 stands in for the optimum
+    # past exhaustive search, the chain MILP closed to an absolute gap of
+    # 1e-6 stands in for the optimum
     inst = generate_instance(n, "unit", seed)
     k = int(inst.budget + 1e-9)
     res = dp_solve(inst, max_attacks=k, nu=5)
-    model, _ = build_chain_milp(inst, build_path_table(inst), share_prefixes=True, add_valid_ineq=True)
+    model, _ = build_chain_milp(inst, build_path_table(inst), add_valid_ineq=True)
     milp = solve_milp(model, gap=1e-6)
     assert milp.status == STATUS_OPTIMAL
     assert res.truncated_value <= milp.objective + 1e-9

@@ -1,5 +1,5 @@
-"""Chain formulation, prefix sharing, the equal-probability
-selector formulation, and the leaf dominance inequalities."""
+"""Chain formulation, the equal-probability selector formulation, and
+the leaf dominance inequalities."""
 
 import numpy as np
 import pytest
@@ -31,14 +31,13 @@ def equal_p_instance(n: int, p: float, seed: int):
     )
 
 
-@pytest.mark.parametrize("share", [False, True])
 @pytest.mark.parametrize("vi", [False, True])
-def test_chain_milp_matches_brute_force(share, vi):
+def test_chain_milp_matches_brute_force(vi):
     rng = np.random.default_rng(31)
     for trial in range(6):
         inst = oracles.random_tree_instance(rng, int(rng.integers(3, 9)), "weighted")
         paths = build_path_table(inst)
-        model, index = build_chain_milp(inst, paths, share_prefixes=share, add_valid_ineq=vi)
+        model, index = build_chain_milp(inst, paths, add_valid_ineq=vi)
         res = solve_milp(model, gap=0.0)
         _, expected = oracles.brute_force_optimum(inst)
         assert res.status == STATUS_OPTIMAL
@@ -60,18 +59,15 @@ def test_chain_milp_survival_levels_match_formula():
         assert level * inst.pair_cost(*pair) == pytest.approx(expected, abs=1e-6)
 
 
-def test_prefix_sharing_reduces_variables_and_keeps_lp_value():
+def test_chain_milp_size_and_root_lp_are_pinned():
+    # One variable set per (start node, node): 140 columns and 243 rows
+    # here, where one chain per pair needs 360 x 611 for the same root LP.
     inst = generate_instance(10, "type1", 33)
-    paths = build_path_table(inst)
-    plain, _ = build_chain_milp(inst, paths, share_prefixes=False)
-    shared, _ = build_chain_milp(inst, paths, share_prefixes=True)
-    assert shared.num_variables < plain.num_variables
-    lp_plain = solve_lp(plain)
-    lp_shared = solve_lp(shared)
-    assert lp_plain.objective == pytest.approx(lp_shared.objective, abs=1e-7)
-    milp_plain = solve_milp(plain, gap=0.0)
-    milp_shared = solve_milp(shared, gap=0.0)
-    assert milp_plain.objective == pytest.approx(milp_shared.objective, abs=1e-7)
+    model, _ = build_chain_milp(inst, build_path_table(inst))
+    assert (model.num_variables, model.num_rows) == (140, 243)
+    assert solve_lp(model).objective == pytest.approx(53.947526, abs=1e-7)
+    _, expected = oracles.brute_force_optimum(inst)
+    assert solve_milp(model, gap=0.0).objective == pytest.approx(expected, abs=1e-7)
 
 
 def test_certain_nodes_are_fixed_to_zero():
@@ -118,7 +114,7 @@ def test_valid_inequality_rows_do_not_change_optimum():
         assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
 
-@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9, 1.0])
 def test_selector_formulation_matches_brute_force(p):
     for seed in (40, 41):
         inst = equal_p_instance(8, p, seed)
@@ -128,6 +124,7 @@ def test_selector_formulation_matches_brute_force(p):
         flags, expected = oracles.brute_force_optimum(inst)
         assert res.status == STATUS_OPTIMAL
         assert res.objective == pytest.approx(expected, abs=1e-7)
+        assert attack_from_solution(index.attack, res.x).is_feasible(inst)
 
 
 def test_selector_formulation_rejects_mixed_probabilities():
