@@ -1,7 +1,8 @@
 """Command-line front end: generate, evaluate, solve, benchmark, reduce.
 
-Result records are JSON objects with method, value (upper bound), bound
-(lower bound), gap = 1 - bound/value (0 when the value is 0), status,
+Result records are strict JSON objects with method, value (upper bound),
+bound (lower bound), each null when no finite value is known, gap =
+1 - bound/value (0 when the value is 0, 1 when a side is null), status,
 time (the limit itself when a run hits its time limit), elapsed (the
 measured seconds), and iteration/cut counts where the method has them.  The bench
 subcommand persists one record per (instance, method) keyed by instance
@@ -23,6 +24,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -44,7 +46,7 @@ from scnptree.instance import (
     read_instance,
     write_instance,
 )
-from scnptree.milpcore import STATUS_OPTIMAL, solve_milp
+from scnptree.milpcore import BACKENDS, STATUS_OPTIMAL, solve_milp
 
 METHODS = ("benders", "milp", "ilp-p", "dp", "exhaustive")
 STATUS_ERROR = "Error"
@@ -63,7 +65,7 @@ def _gap(value: float | None, bound: float | None) -> float:
 def _write_json_atomic(payload: dict, path: Path) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
+        json.dump(payload, handle, indent=1, sort_keys=True, allow_nan=False)
         handle.write("\n")
     os.replace(tmp, path)
 
@@ -137,6 +139,9 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
     else:
         raise ValueError(f"unknown method {method!r}")
 
+    for key in ("value", "bound"):
+        if record[key] is not None and not math.isfinite(record[key]):
+            record[key] = None  # strict JSON has no infinities
     elapsed = time.perf_counter() - started
     timed_out = record.get("status") == "TimeLimit" and time_limit is not None
     record["time"] = float(time_limit) if timed_out else elapsed
@@ -192,7 +197,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "trace_path": args.trace,
     }
     record = solve_instance(instance, args.method, params)
-    text = json.dumps(record, indent=1, sort_keys=True)
+    text = json.dumps(record, indent=1, sort_keys=True, allow_nan=False)
     if args.out:
         _write_json_atomic(record, Path(args.out))
     print(text)
@@ -499,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-vi", action="store_true", help="drop leaf dominance rows")
     p_solve.add_argument("--time-limit", type=float, default=None, help="seconds")
     p_solve.add_argument("--nu", type=int, default=4, help="truncation decimals for --method dp")
-    p_solve.add_argument("--backend", choices=("auto", "simplex", "highs"), default="auto")
+    p_solve.add_argument("--backend", choices=BACKENDS, default="auto")
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV (benders)")
     p_solve.add_argument("--out", default=None, help="also write the result record here")
     p_solve.set_defaults(func=cmd_solve)
@@ -511,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--time-limit", type=float, default=None)
     p_bench.add_argument("--no-vi", action="store_true")
     p_bench.add_argument("--nu", type=int, default=4)
-    p_bench.add_argument("--backend", choices=("auto", "simplex", "highs"), default="auto")
+    p_bench.add_argument("--backend", choices=BACKENDS, default="auto")
     p_bench.add_argument("--workers", type=int, default=max(1, min(4, os.cpu_count() or 1)))
     p_bench.add_argument("--results-dir", default="results")
     p_bench.add_argument("--csv", default=None, help="write the aggregate CSV here")

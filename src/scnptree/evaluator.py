@@ -138,19 +138,17 @@ def objective_scenarios(instance: TreeInstance, attack: AttackVector) -> float:
     return total
 
 
-def feasible_attack_vectors(instance: TreeInstance, max_nodes: int = 20) -> Iterator[tuple[int, ...]]:
+def feasible_attack_vectors(instance: TreeInstance) -> Iterator[tuple[int, ...]]:
     """Yield every feasible attack flag tuple in lexicographic order.
 
     Feasible means within budget and never attacking a node with survival
     probability 1.  Only nodes with p < 1 are branched on, so instances
-    whose attackable node count exceeds ``max_nodes`` are rejected.
+    with more than 20 attackable nodes are rejected.
     """
     n = instance.node_count
     attackable = [i for i in range(n) if instance.survival_prob[i] < 1.0]
-    if len(attackable) > max_nodes:
-        raise InstanceTooLarge(
-            f"{len(attackable)} attackable nodes; exhaustive limit is {max_nodes}"
-        )
+    if len(attackable) > 20:
+        raise InstanceTooLarge(f"{len(attackable)} attackable nodes; exhaustive limit is 20")
     kappa = instance.attack_cost
     budget_slack = instance.budget + 1e-9
     flags = [0] * n
@@ -181,18 +179,14 @@ def batch_objective(instance: TreeInstance, paths: PathTable, flag_rows: np.ndar
     return np.concatenate([pair_survival(instance, paths, rows[i : i + step]) @ costs for i in chunks])
 
 
-def exhaustive_solve(
-    instance: TreeInstance, paths: PathTable | None = None
-) -> tuple[AttackVector, float]:
+def exhaustive_solve(instance: TreeInstance) -> tuple[AttackVector, float]:
     """Minimize over every feasible attack vector.
 
     Enumeration skips nodes with p = 1, prunes on the budget, and breaks
     value ties by the lexicographically smallest flag tuple (the
     enumeration order), evaluating candidates in vectorized batches.
     """
-    if paths is None:
-        paths = build_path_table(instance)
-    n = instance.node_count
+    paths = build_path_table(instance)
 
     best_value = math.inf
     best_flags: tuple[int, ...] | None = None

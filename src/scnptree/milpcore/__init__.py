@@ -6,11 +6,7 @@ bounded-variable simplex when named), and integer programs by solve_milp
 (branch and bound over either LP backend).
 """
 
-from scnptree.milpcore.backends import (
-    BACKENDS,
-    resolve_backend,
-    solve_lp,
-)
+from scnptree.milpcore.backends import BACKENDS, solve_lp
 from scnptree.milpcore.branchbound import solve_milp
 from scnptree.milpcore.model import (
     EQUAL,
@@ -40,7 +36,6 @@ __all__ = [
     "STATUS_TIME_LIMIT",
     "STATUS_UNBOUNDED",
     "SolveResult",
-    "resolve_backend",
     "simplex_solve",
     "solve_lp",
     "solve_milp",

@@ -26,7 +26,6 @@ from scnptree.milpcore.model import (
     GREATER_EQUAL,
     LESS_EQUAL,
     STATUS_INFEASIBLE,
-    STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
     STATUS_UNBOUNDED,
@@ -52,12 +51,6 @@ _MINIMIZE = 1  # HiGHS ObjSense.kMinimize
 # and a recycled address can never be mistaken for a cached model); the
 # revision guards against in-place mutation.
 _sessions: "weakref.WeakKeyDictionary[LinearModel, _Session]" = weakref.WeakKeyDictionary()
-
-
-def resolve_backend(model: LinearModel, backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return "highs" if backend == "auto" else backend
 
 
 def _row_block(model: LinearModel, first: int) -> tuple:
@@ -152,8 +145,6 @@ def _session_solve(
         return SolveResult(status=STATUS_UNBOUNDED, iterations=iterations)
     if status == codes.kTimeLimit:
         return SolveResult(status=STATUS_TIME_LIMIT, iterations=iterations)
-    if status == codes.kIterationLimit:
-        return SolveResult(status=STATUS_ITERATION_LIMIT, iterations=iterations)
     if status != codes.kOptimal:
         raise NumericalFailure(f"highs backend failed: {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
@@ -210,10 +201,9 @@ def _linprog_solve(
         return SolveResult(status=STATUS_INFEASIBLE, iterations=int(res.nit))
     if res.status == 3:
         return SolveResult(status=STATUS_UNBOUNDED, iterations=int(res.nit))
-    if res.status == 1:
-        # scipy reports HiGHS's time and iteration limits both as status 1
-        hit = STATUS_TIME_LIMIT if res.message.startswith("Time limit") else STATUS_ITERATION_LIMIT
-        return SolveResult(status=hit, iterations=int(res.nit))
+    if res.status == 1 and res.message.startswith("Time limit"):
+        # status 1 also covers HiGHS's iteration limit, which is never set
+        return SolveResult(status=STATUS_TIME_LIMIT, iterations=int(res.nit))
     if res.status != 0:
         raise NumericalFailure(f"highs backend failed: {res.message}")
     duals = np.zeros(model.num_rows)
@@ -239,20 +229,20 @@ def solve_lp(
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     time_limit: float | None = None,
-    max_iterations: int | None = None,
 ) -> SolveResult:
     """Solve the continuous relaxation; integrality flags are ignored.
 
-    HiGHS (``auto`` or ``highs``) reuses the model's session, so repeated
-    solves of one model, such as branch-and-bound nodes, start from the
-    last basis; it ignores ``max_iterations``.  Both backends map a
-    ``time_limit`` stop to TimeLimit.
+    ``backend`` is one of ``BACKENDS``.  HiGHS (``auto`` or ``highs``)
+    reuses the model's session, so repeated solves of one model, such as
+    branch-and-bound nodes, start from the last basis; ``simplex`` runs the
+    built-in dense simplex.  Both backends map a ``time_limit`` stop to
+    TimeLimit; the simplex alone can also end at its fixed guard against
+    cycling, with IterationLimit.
     """
-    chosen = resolve_backend(model, backend)
-    if chosen == "simplex":
-        return simplex_solve(
-            model, max_iterations=max_iterations, lower=lower, upper=upper, time_limit=time_limit
-        )
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    if backend == "simplex":
+        return simplex_solve(model, lower=lower, upper=upper, time_limit=time_limit)
     if _binding is None:
         return _linprog_solve(model, lower, upper, time_limit)
     return _session_solve(model, lower, upper, time_limit)

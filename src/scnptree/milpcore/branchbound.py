@@ -18,7 +18,6 @@ import numpy as np
 from scnptree.milpcore.backends import solve_lp
 from scnptree.milpcore.model import (
     STATUS_INFEASIBLE,
-    STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
     STATUS_UNBOUNDED,
@@ -48,14 +47,13 @@ def solve_milp(
     time_limit: float | None = None,
     backend: str = "auto",
     warm_start: np.ndarray | None = None,
-    node_limit: int | None = None,
 ) -> SolveResult:
     """Minimize the model with its integrality flags enforced.
 
     ``gap`` is absolute: the search stops once no open node can beat the
-    incumbent by more than ``gap``.  ``warm_start`` must be a feasible
-    integral point and seeds the incumbent.  Unbounded refers to the root
-    relaxation.
+    incumbent by more than ``gap``, or with TimeLimit once ``time_limit``
+    seconds have passed.  ``warm_start`` must be a feasible integral point
+    and seeds the incumbent.  Unbounded refers to the root relaxation.
     """
     start = time.perf_counter()
     incumbent_x: np.ndarray | None = None
@@ -75,7 +73,7 @@ def solve_milp(
     nodes = 0
     total_lp_iter = 0
     dive: tuple[float, np.ndarray, np.ndarray] | None = (-math.inf, root_lower, root_upper)
-    timed_out = False
+    # estimate of the node the clock interrupted; None unless timed out
     interrupted_est: float | None = None
 
     def threshold() -> float:
@@ -93,11 +91,6 @@ def solve_milp(
             pruned_bound = min(pruned_bound, est)
             continue
         if time_limit is not None and time.perf_counter() - start > time_limit:
-            timed_out = True
-            interrupted_est = est
-            break
-        if node_limit is not None and nodes >= node_limit:
-            timed_out = False
             interrupted_est = est
             break
 
@@ -113,12 +106,7 @@ def solve_milp(
             if nodes == 1:
                 return SolveResult(status=STATUS_UNBOUNDED, nodes=nodes)
             raise NumericalFailure("child relaxation unbounded below a bounded parent")
-        if res.status == STATUS_TIME_LIMIT or (
-            res.status == STATUS_ITERATION_LIMIT
-            and time_limit is not None
-            and time.perf_counter() - start > time_limit
-        ):
-            timed_out = True
+        if res.status == STATUS_TIME_LIMIT:
             interrupted_est = est
             break
         if res.status != STATUS_OPTIMAL:
@@ -154,28 +142,16 @@ def solve_milp(
         heapq.heappush(heap, (far[0], seq, far[1], far[2]))
         dive = near
 
+    if interrupted_est is None and incumbent_x is None:
+        return SolveResult(status=STATUS_INFEASIBLE, nodes=nodes, iterations=total_lp_iter)
     open_bounds = [entry[0] for entry in heap]
     if interrupted_est is not None:
         open_bounds.append(interrupted_est)
-    bound = min([incumbent_obj, pruned_bound, *open_bounds]) if (
-        incumbent_x is not None or open_bounds or pruned_bound < math.inf
-    ) else None
-
-    if incumbent_x is None:
-        if timed_out or interrupted_est is not None:
-            status = STATUS_TIME_LIMIT if timed_out else STATUS_ITERATION_LIMIT
-            return SolveResult(status=status, bound=bound, nodes=nodes, iterations=total_lp_iter)
-        return SolveResult(status=STATUS_INFEASIBLE, nodes=nodes, iterations=total_lp_iter)
-    status = STATUS_OPTIMAL
-    if timed_out:
-        status = STATUS_TIME_LIMIT
-    elif interrupted_est is not None:
-        status = STATUS_ITERATION_LIMIT
     return SolveResult(
-        status=status,
-        objective=incumbent_obj,
+        status=STATUS_OPTIMAL if interrupted_est is None else STATUS_TIME_LIMIT,
+        objective=None if incumbent_x is None else incumbent_obj,
         x=incumbent_x,
-        bound=bound,
+        bound=min([incumbent_obj, pruned_bound, *open_bounds]),
         nodes=nodes,
         iterations=total_lp_iter,
     )

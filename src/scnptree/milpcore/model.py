@@ -117,9 +117,6 @@ class LinearModel:
         self.revision += 1
         return idx
 
-    def variable_index(self, name: str) -> int:
-        return self._var_index[name]
-
     # -- views ------------------------------------------------------------
 
     @property
@@ -129,12 +126,6 @@ class LinearModel:
     @property
     def num_rows(self) -> int:
         return len(self.row_names)
-
-    def dense_matrix(self) -> np.ndarray:
-        a = np.zeros((self.num_rows, self.num_variables))
-        for r, (cols, coefs) in enumerate(zip(self.row_cols, self.row_coefs)):
-            a[r, cols] = coefs
-        return a
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(np.dot(self.objective, x))

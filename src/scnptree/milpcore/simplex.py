@@ -44,7 +44,6 @@ _DENSE_CELL_CAP = 40_000_000
 
 def simplex_solve(
     model: LinearModel,
-    max_iterations: int | None = None,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     time_limit: float | None = None,
@@ -54,7 +53,8 @@ def simplex_solve(
     ``lower``/``upper`` override the model's variable bounds (used by
     branch and bound); integrality flags are ignored here.  The clock is
     read once per pivot: past ``time_limit`` seconds the solve ends with
-    TimeLimit.
+    TimeLimit.  After that check, a fixed guard of 50 (m + n) + 1000
+    pivots ends a cycling solve with IterationLimit.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     m = model.num_rows
@@ -65,7 +65,7 @@ def simplex_solve(
         raise NumericalFailure(
             f"dense simplex refuses {m} rows x {n} columns; use the highs backend"
         )
-    limit = max_iterations if max_iterations is not None else 50 * (m + n) + 1000
+    limit = 50 * (m + n) + 1000  # guard against cycling
 
     total = n + 2 * m  # structurals, slacks, artificials
     a = np.zeros((m, total))
@@ -136,10 +136,10 @@ def simplex_solve(
         bland = False
         etas = 0
         while True:
-            if iterations >= limit:
-                return STATUS_ITERATION_LIMIT
             if deadline is not None and time.perf_counter() > deadline:
                 return STATUS_TIME_LIMIT
+            if iterations >= limit:
+                return STATUS_ITERATION_LIMIT
             y = b_inv.T @ cost[basis] if m else np.zeros(0)
             d = cost - a.T @ y
             improving = np.zeros(total, dtype=bool)

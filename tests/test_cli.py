@@ -171,6 +171,42 @@ def test_solve_time_limit_reports_the_limit(tmp_path, capsys):
     assert record["gap"] == 1.0  # no incumbent: value is null
 
 
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_time_limited_records_are_strict_json(tmp_path, capsys):
+    # stopped before any incumbent or finite bound: value and bound must
+    # print as null, never as Infinity or -Infinity
+    instances = tmp_path / "instances"
+    instances.mkdir()
+    path = instances / "tree_n40_type3_1.json"
+    write_instance(generate_instance(40, "type3", 1), path)
+    for method in ("milp", "benders"):
+        code, out, _ = run(
+            capsys, "solve", str(path), "--method", method, "--time-limit", "1e-9"
+        )
+        assert code == 0
+        record = strict_json(out)
+        assert record["status"] == "TimeLimit"
+        assert record["value"] is None
+        assert record["gap"] == 1.0
+
+    results = tmp_path / "results"
+    code, _, _ = run(
+        capsys, "bench", str(instances), "--methods", "milp,benders",
+        "--time-limit", "1e-9", "--workers", "1", "--results-dir", str(results),
+    )
+    assert code == 0
+    stored = sorted(results.glob("*.json"))
+    assert len(stored) == 2
+    for record_path in stored:
+        assert strict_json(record_path.read_text(encoding="utf-8"))["status"] == "TimeLimit"
+
+
 def test_solve_records_elapsed_next_to_the_limit(tmp_path, capsys):
     inst = generate_instance(12, "type2", 13)
     path = tmp_path / "inst.json"

@@ -18,7 +18,6 @@ from scnptree.milpcore import (
     LinearModel,
     NumericalFailure,
     SolveResult,
-    resolve_backend,
     simplex_solve,
     solve_lp,
     solve_milp,
@@ -28,6 +27,10 @@ from scnptree.milpcore import backends, branchbound
 # The built-in simplex, the HiGHS session, and HiGHS through linprog (the
 # path taken when scipy lacks the session binding).
 LP_PATHS = ("simplex", "highs", "linprog")
+
+needs_session = pytest.mark.skipif(
+    backends._binding is None, reason="scipy lacks the private HiGHS binding"
+)
 
 
 @pytest.fixture
@@ -176,6 +179,7 @@ def _knapsack_lp(rows: int) -> LinearModel:
     return m
 
 
+@needs_session
 def test_session_appends_rows_like_a_fresh_model():
     extra = [
         ("cut", [0, 1, 2], [1.0, 1.0, 1.0], LESS_EQUAL, 1.0),
@@ -201,6 +205,7 @@ def test_session_appends_rows_like_a_fresh_model():
     assert fresh.dual_objective(ref.duals) == pytest.approx(res.objective, abs=1e-9)
 
 
+@needs_session
 def test_session_rebuilds_after_a_new_variable():
     m = _knapsack_lp(2)
     first = solve_lp(m)
@@ -273,6 +278,7 @@ def test_simplex_stops_at_its_time_limit():
     assert time.perf_counter() - started < 0.5
 
 
+@needs_session
 def test_session_time_limit_counts_from_each_solve():
     # HiGHS's clock runs over the session's whole life; a per-solve limit
     # below the time already spent must still leave the solve its budget
@@ -319,21 +325,32 @@ def test_simplex_degenerate_problem_terminates():
     assert res.objective == pytest.approx(-1.0, abs=1e-7)
 
 
-def test_resolve_backend_switches_on_size():
-    small = LinearModel()
-    small.add_variable("x")
-    small.add_row("r", [0], [1.0], LESS_EQUAL, 1.0)
-    assert resolve_backend(small, "auto") == "highs"
-    assert resolve_backend(small, "highs") == "highs"
-    with pytest.raises(ValueError):
-        resolve_backend(small, "mystery")
+@needs_session
+def test_solve_lp_routes_backend_names():
+    # auto and highs run the model's HiGHS session whatever its size; a
+    # named simplex never creates one; an unknown name is refused
+    def small() -> LinearModel:
+        m = LinearModel()
+        m.add_variable("x", 0.0, math.inf, -1.0)
+        m.add_row("r", [0], [1.0], LESS_EQUAL, 1.0)
+        return m
 
     big = LinearModel()
     for j in range(60):
-        big.add_variable(f"x{j}")
+        big.add_variable(f"x{j}", 0.0, math.inf, -1.0)
     for r in range(200):
         big.add_row(f"r{r}", [r % 60], [1.0], LESS_EQUAL, 1.0)
-    assert resolve_backend(big, "auto") == "highs"
+    for model, backend in ((small(), "auto"), (small(), "highs"), (big, "auto")):
+        assert solve_lp(model, backend=backend).status == STATUS_OPTIMAL
+        assert model in backends._sessions
+
+    named = small()
+    res = solve_lp(named, backend="simplex")
+    assert res.status == STATUS_OPTIMAL
+    assert res.objective == pytest.approx(-1.0)
+    assert named not in backends._sessions
+    with pytest.raises(ValueError):
+        solve_lp(named, backend="mystery")
 
 
 def brute_force_binary(model: LinearModel, n: int):

@@ -71,13 +71,17 @@ def test_chain_milp_size_and_root_lp_are_pinned():
 
 
 def test_certain_nodes_are_fixed_to_zero():
-    inst = make_instance(
-        3, [(0, 1), (1, 2)], [1.0, 0.5, 0.3], [1.0] * 3, None, 3.0
-    )
-    paths = build_path_table(inst)
-    model, index = build_chain_milp(inst, paths)
-    res = solve_milp(model, gap=0.0)
-    assert res.x[index.attack[0]] == pytest.approx(0.0, abs=1e-9)
+    # a reward of 1 on attacking the p = 1 node tempts the search: only
+    # the fix row keeps v_0 at 0 (ilp-p needs equal p, so its twin has
+    # p = 1 everywhere)
+    for builder, probs in ((build_chain_milp, [1.0, 0.5, 0.3]), (build_ilp_p, [1.0] * 3)):
+        inst = make_instance(3, [(0, 1), (1, 2)], probs, [1.0] * 3, None, 3.0)
+        for backend in ("highs", "simplex"):
+            model, index = builder(inst, build_path_table(inst))
+            model.objective[index.attack[0]] = -1.0
+            res = solve_milp(model, gap=0.0, backend=backend)
+            assert res.status == STATUS_OPTIMAL
+            assert res.x[index.attack[0]] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_valid_inequalities_selects_dominated_leaves():
