@@ -15,7 +15,13 @@ A bench task that raises becomes an unpersisted record with status
 ``Error`` and an ``error`` message; the other tasks still run, the CSV is
 still written, and the exit code is 1.
 
-Exit codes: 0 on success, 1 on solver failure, 2 on usage errors.
+``reduce`` parses a nested instance with ``instance_from_payload``, the
+parser behind instance files (a missing ``c`` means unit costs), so a
+malformed one raises a ``ParseError`` that names the field.
+
+Exit codes: 0 on success, 1 on solver failure, 2 on usage errors
+(including a malformed reduce payload and an ``eval --attack`` node
+outside ``0..n-1``).
 """
 
 from __future__ import annotations
@@ -35,13 +41,19 @@ from pathlib import Path
 from scnptree import benders as benders_mod
 from scnptree import dp as dp_mod
 from scnptree import generator, models, reductions
-from scnptree.evaluator import exhaustive_solve, objective_scenarios, objective_tree
+from scnptree.evaluator import (
+    exhaustive_solve,
+    feasible_attack_vectors,
+    objective_scenarios,
+    objective_tree,
+)
 from scnptree.instance import (
     AttackVector,
     InstanceError,
     ParseError,
     TreeInstance,
     build_path_table,
+    instance_from_payload,
     make_instance,
     read_instance,
     write_instance,
@@ -62,6 +74,11 @@ def _gap(value: float | None, bound: float | None) -> float:
     return max(0.0, 1.0 - bound / value)
 
 
+def _finite(value: float | None) -> float | None:
+    """Strict JSON has no infinities: a non-finite value becomes null."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def _write_json_atomic(payload: dict, path: Path) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
@@ -76,18 +93,11 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
     eps = params.get("eps", 1e-3)
     backend = params.get("backend", "auto")
     time_limit = params.get("time_limit")
-    record: dict = {"method": method}
+    record: dict = {"method": method, "iterations": None, "cuts": None}
 
     if method == "exhaustive":
         attack, value = exhaustive_solve(instance)
-        record.update(
-            value=value,
-            bound=value,
-            status=STATUS_OPTIMAL,
-            attack=list(attack.attacked),
-            iterations=None,
-            cuts=None,
-        )
+        bound, status = value, STATUS_OPTIMAL
     elif method == "benders":
         result = benders_mod.bd_scnp(
             instance,
@@ -96,14 +106,8 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
             use_valid_ineq=params.get("use_valid_ineq", True),
             backend=backend,
         )
-        record.update(
-            value=result.upper_bound,
-            bound=result.lower_bound,
-            status=result.status,
-            attack=list(result.attack.attacked) if result.attack else None,
-            iterations=result.iterations,
-            cuts=result.cuts_total,
-        )
+        attack, value, bound, status = result.attack, result.upper_bound, result.lower_bound, result.status
+        record.update(iterations=result.iterations, cuts=result.cuts_total)
         if params.get("trace_path"):
             benders_mod.write_trace_csv(result, params["trace_path"])
     elif method in ("milp", "ilp-p"):
@@ -116,37 +120,28 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
             model, index = models.build_ilp_p(instance, paths)
         res = solve_milp(model, gap=eps, time_limit=time_limit, backend=backend)
         attack = models.attack_from_solution(index.attack, res.x) if res.x is not None else None
-        record.update(
-            value=res.objective,
-            bound=res.bound,
-            status=res.status,
-            attack=list(attack.attacked) if attack else None,
-            iterations=res.nodes,
-            cuts=None,
-        )
+        value, bound, status = res.objective, res.bound, res.status
+        record["iterations"] = res.nodes
     elif method == "dp":
         max_attacks = int(instance.budget + 1e-9)
         result = dp_mod.dp_solve(instance, max_attacks, params.get("nu", 4))
-        record.update(
-            value=result.exact_value,
-            bound=result.truncated_value,
-            status=STATUS_OPTIMAL,
-            attack=list(result.attack.attacked),
-            iterations=None,
-            cuts=None,
-            slack_bound=result.slack_bound,
-        )
+        attack, value, bound = result.attack, result.exact_value, result.truncated_value
+        status = STATUS_OPTIMAL
+        record["slack_bound"] = result.slack_bound
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    for key in ("value", "bound"):
-        if record[key] is not None and not math.isfinite(record[key]):
-            record[key] = None  # strict JSON has no infinities
     elapsed = time.perf_counter() - started
-    timed_out = record.get("status") == "TimeLimit" and time_limit is not None
-    record["time"] = float(time_limit) if timed_out else elapsed
-    record["elapsed"] = elapsed
-    record["gap"] = _gap(record.get("value"), record.get("bound"))
+    timed_out = status == "TimeLimit" and time_limit is not None
+    record.update(
+        value=_finite(value),
+        bound=_finite(bound),
+        status=status,
+        attack=list(attack.attacked) if attack else None,
+        time=float(time_limit) if timed_out else elapsed,
+        elapsed=elapsed,
+    )
+    record["gap"] = _gap(record["value"], record["bound"])
     return record
 
 
@@ -186,16 +181,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    instance = read_instance(args.instance)
-    params = {
+def _solver_params(args: argparse.Namespace) -> dict:
+    return {
         "eps": args.eps,
         "time_limit": args.time_limit,
         "use_valid_ineq": not args.no_vi,
         "backend": args.backend,
         "nu": args.nu,
-        "trace_path": args.trace,
     }
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    instance = read_instance(args.instance)
+    params = dict(_solver_params(args), trace_path=args.trace)
     record = solve_instance(instance, args.method, params)
     text = json.dumps(record, indent=1, sort_keys=True, allow_nan=False)
     if args.out:
@@ -263,14 +261,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 with open(record_path, "r", encoding="utf-8") as handle:
                     records[(str(path), method)] = json.load(handle)
                 continue
-            params = {
-                "eps": args.eps,
-                "time_limit": args.time_limit,
-                "use_valid_ineq": not args.no_vi,
-                "backend": args.backend,
-                "nu": args.nu,
-            }
-            tasks.append((str(path), method, params, str(record_path)))
+            tasks.append((str(path), method, _solver_params(args), str(record_path)))
 
     if args.workers > 1 and tasks:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -331,41 +322,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
-def _instance_from_payload(payload: dict) -> TreeInstance:
-    costs = payload.get("c", "unit")
-    return make_instance(
-        node_count=payload["n"],
-        edges=payload["edges"],
-        survival_prob=payload["p"],
-        attack_cost=payload["kappa"],
-        connection_cost=None if costs == "unit" else costs,
-        budget=payload["K"],
-    )
+def _edge_values(rows) -> dict[tuple[int, int], float]:
+    return {(int(u), int(v)): float(x) for u, v, x in rows}
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    reply = {"instance": args.out}
     if args.kind == "knapsack":
         items = [(float(p), float(w)) for p, w in payload["items"]]
-        instance, threshold = reductions.knapsack_to_dscnp(
+        instance, reply["threshold"] = reductions.knapsack_to_dscnp(
             items, float(payload["capacity"]), float(payload["target"])
         )
-        write_instance(instance, args.out)
-        print(json.dumps({"instance": args.out, "threshold": threshold}))
-    elif args.kind == "cedp":
-        base = _instance_from_payload(payload["instance"])
-        edge_p = {(int(u), int(v)): float(p) for u, v, p in payload["edge_p"]}
-        edge_k = {(int(u), int(v)): float(k) for u, v, k in payload["edge_kappa"]}
-        instance = reductions.cedp_to_scnp(base, edge_p, edge_k)
-        write_instance(instance, args.out)
-        print(json.dumps({"instance": args.out}))
-    else:  # edge-uncertainty
-        base = _instance_from_payload(payload["instance"])
-        presence = {(int(u), int(v)): float(p) for u, v, p in payload["edge_presence"]}
-        instance = reductions.edge_uncertainty_to_deterministic(base, presence)
-        write_instance(instance, args.out)
-        print(json.dumps({"instance": args.out}))
+    else:
+        # a nested instance may leave out "c" for unit connection costs
+        base = instance_from_payload({"c": "unit", **payload["instance"]}, f"{args.input}: instance")
+        if args.kind == "cedp":
+            edge_p, edge_k = _edge_values(payload["edge_p"]), _edge_values(payload["edge_kappa"])
+            instance = reductions.cedp_to_scnp(base, edge_p, edge_k)
+        else:  # edge-uncertainty
+            presence = _edge_values(payload["edge_presence"])
+            instance = reductions.edge_uncertainty_to_deterministic(base, presence)
+    write_instance(instance, args.out)
+    print(json.dumps(reply))
     return 0
 
 
@@ -391,20 +371,17 @@ def cmd_check(args: argparse.Namespace) -> int:
         n = int(rng.integers(4, 9))
         instance = generator.generate_instance(n, "unit", int(rng.integers(10_000)))
         paths = build_path_table(instance)
-        for flags in _sample_attacks(instance, rng, 8):
-            attack = AttackVector(flags)
+        vectors = list(feasible_attack_vectors(instance))
+        for k in rng.integers(len(vectors), size=8):
+            attack = AttackVector(vectors[k])
             worst = max(worst, abs(objective_tree(instance, paths, attack) - objective_scenarios(instance, attack)))
     report("objective path-product vs scenario enumeration", worst <= 1e-9, f"max diff {worst:.2e}")
 
     worst = 0.0
     for seed in range(4):
         instance = generator.generate_instance(7, "type1", 500 + seed)
-        _, value = exhaustive_solve(instance)
-        result = benders_mod.bd_scnp(instance, eps=1e-3)
-        paths = build_path_table(instance)
-        model, _ = models.build_chain_milp(instance, paths, add_valid_ineq=True)
-        milp_value = solve_milp(model, gap=1e-3).objective
-        worst = max(worst, abs(value - result.upper_bound), abs(value - milp_value))
+        values = [solve_instance(instance, m, {})["value"] for m in ("exhaustive", "benders", "milp")]
+        worst = max(worst, *(abs(values[0] - other) for other in values[1:]))
     report("exhaustive vs cut loop vs chain model", worst <= 1e-3, f"max diff {worst:.2e}")
 
     worst = 0.0
@@ -422,11 +399,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     ok = True
     for seed in range(3):
         instance = generator.generate_instance(8, "unit", 900 + seed)
-        budget = int(instance.budget + 1e-9)
-        result = dp_mod.dp_solve(instance, budget, 4)
-        _, opt = exhaustive_solve(instance)
-        ok = ok and result.truncated_value <= opt + 1e-12 <= result.exact_value + 1e-9
-        ok = ok and result.exact_value <= result.truncated_value + result.slack_bound + 1e-9
+        record = solve_instance(instance, "dp", {"nu": 4})
+        opt = solve_instance(instance, "exhaustive", {})["value"]
+        ok = ok and record["bound"] <= opt + 1e-12 <= record["value"] + 1e-9
+        ok = ok and record["value"] <= record["bound"] + record["slack_bound"] + 1e-9
     report("dynamic program sandwich bound", ok)
 
     instance, threshold = reductions.knapsack_to_dscnp([(3.0, 2.0), (2.0, 1.0)], 2.0, 3.0)
@@ -434,25 +410,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     report("knapsack gadget yes-instance", value <= threshold + 1e-9, f"value {value:.6f} vs {threshold}")
 
     return 1 if failures else 0
-
-
-def _sample_attacks(instance: TreeInstance, rng, count: int) -> list[tuple[int, ...]]:
-    """Random budget-feasible flag tuples, attacking cheap nodes first."""
-    n = instance.node_count
-    out = []
-    for _ in range(count):
-        flags = [0] * n
-        order = list(rng.permutation(n))
-        spent = 0.0
-        for node in order:
-            if instance.survival_prob[node] >= 1.0:
-                continue
-            cost = instance.attack_cost[node]
-            if spent + cost <= instance.budget + 1e-9 and rng.random() < 0.6:
-                flags[node] = 1
-                spent += cost
-        out.append(tuple(flags))
-    return out
 
 
 def _random_path_case(rng, length: int):
@@ -479,6 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--eps", type=float, default=1e-3, help="absolute optimality gap")
+    solver.add_argument("--no-vi", action="store_true", help="drop leaf dominance rows")
+    solver.add_argument("--time-limit", type=float, default=None, help="seconds")
+    solver.add_argument("--nu", type=int, default=4, help="truncation decimals for --method dp")
+    solver.add_argument("--backend", choices=BACKENDS, default="auto")
+
     p_gen = sub.add_parser("gen", help="write random instances")
     p_gen.add_argument("--n", type=int, required=True, help="number of nodes")
     p_gen.add_argument("--scheme", choices=generator.SCHEMES, default="unit")
@@ -497,26 +461,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.set_defaults(func=cmd_eval)
 
-    p_solve = sub.add_parser("solve", help="solve one instance")
+    p_solve = sub.add_parser("solve", parents=[solver], help="solve one instance")
     p_solve.add_argument("instance")
     p_solve.add_argument("--method", choices=METHODS, required=True)
-    p_solve.add_argument("--eps", type=float, default=1e-3, help="absolute optimality gap")
-    p_solve.add_argument("--no-vi", action="store_true", help="drop leaf dominance rows")
-    p_solve.add_argument("--time-limit", type=float, default=None, help="seconds")
-    p_solve.add_argument("--nu", type=int, default=4, help="truncation decimals for --method dp")
-    p_solve.add_argument("--backend", choices=BACKENDS, default="auto")
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV (benders)")
     p_solve.add_argument("--out", default=None, help="also write the result record here")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_bench = sub.add_parser("bench", help="run methods over an instance directory")
+    p_bench = sub.add_parser("bench", parents=[solver], help="run methods over an instance directory")
     p_bench.add_argument("directory")
     p_bench.add_argument("--methods", default="benders,milp", help="comma-separated")
-    p_bench.add_argument("--eps", type=float, default=1e-3)
-    p_bench.add_argument("--time-limit", type=float, default=None)
-    p_bench.add_argument("--no-vi", action="store_true")
-    p_bench.add_argument("--nu", type=int, default=4)
-    p_bench.add_argument("--backend", choices=BACKENDS, default="auto")
     p_bench.add_argument("--workers", type=int, default=max(1, min(4, os.cpu_count() or 1)))
     p_bench.add_argument("--results-dir", default="results")
     p_bench.add_argument("--csv", default=None, help="write the aggregate CSV here")

@@ -58,7 +58,6 @@ def assign_weights(
     edges: tuple[tuple[int, int], ...],
     scheme: str,
     seed: int,
-    node_count: int | None = None,
 ) -> TreeInstance:
     """Attach probabilities, costs, and the budget rule to a tree.
 
@@ -76,7 +75,7 @@ def assign_weights(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    n = node_count if node_count is not None else len(edges) + 1
+    n = len(edges) + 1
 
     prob_rng = _substream(seed, _PROBABILITY_STREAM)
     survival = [float(p) for p in np.round(prob_rng.uniform(0.0, 1.0, size=n), 2)]
@@ -114,7 +113,7 @@ def assign_weights(
 
 def generate_instance(n: int, scheme: str, seed: int) -> TreeInstance:
     """Uniform random tree plus the requested weight scheme."""
-    return assign_weights(broder_tree(n, seed), scheme, seed, node_count=n)
+    return assign_weights(broder_tree(n, seed), scheme, seed)
 
 
 def instance_filename(n: int, scheme: str, seed: int) -> str:

@@ -311,6 +311,8 @@ class AttackVector:
     def from_nodes(cls, nodes: Iterable[int], node_count: int) -> "AttackVector":
         flags = [0] * node_count
         for i in nodes:
+            if not 0 <= i < node_count:
+                raise ValueError(f"attack node {i} outside 0..{node_count - 1}")
             flags[i] = 1
         return cls(tuple(flags))
 
@@ -340,12 +342,17 @@ def read_instance(path) -> TreeInstance:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    return instance_from_payload(raw, path)
+
+
+def instance_from_payload(raw, source) -> TreeInstance:
+    """Validate a decoded instance object; ``source`` prefixes error messages."""
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: top-level value must be an object")
+        raise ParseError(f"{source}: top-level value must be an object")
 
     for key in ("n", "edges", "p", "kappa", "c", "K"):
         if key not in raw:
-            raise ParseError(f"{path}: missing field '{key}'", field=key)
+            raise ParseError(f"{source}: missing field '{key}'", field=key)
 
     cost_field = raw["c"]
     if cost_field == "unit":
@@ -354,9 +361,9 @@ def read_instance(path) -> TreeInstance:
         try:
             costs = {normalize_pair(int(i), int(j)): float(c) for i, j, c in cost_field}
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: entries of 'c' must be [i, j, cost] triples", field="c") from exc
+            raise ParseError(f"{source}: entries of 'c' must be [i, j, cost] triples", field="c") from exc
     else:
-        raise ParseError(f"{path}: 'c' must be \"unit\" or a list of triples", field="c")
+        raise ParseError(f"{source}: 'c' must be \"unit\" or a list of triples", field="c")
 
     try:
         instance = TreeInstance(
@@ -368,9 +375,7 @@ def read_instance(path) -> TreeInstance:
             budget=float(raw["K"]),
         )
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"{path}: malformed field value: {exc}") from exc
+        raise ParseError(f"{source}: malformed field value: {exc}") from exc
     return validate(instance)
 
 

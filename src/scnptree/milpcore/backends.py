@@ -48,8 +48,10 @@ _ROWWISE = 2  # HiGHS MatrixFormat.kRowwise
 _MINIMIZE = 1  # HiGHS ObjSense.kMinimize
 
 # Keyed by the model object itself (weakly, so entries die with the model
-# and a recycled address can never be mistaken for a cached model); the
-# revision guards against in-place mutation.
+# and a recycled address can never be mistaken for a cached model).  Models
+# only grow through add_variable and add_row, so a session with the model's
+# column count catches up by appending the new rows; editing a model's lists
+# in place is not tracked.
 _sessions: "weakref.WeakKeyDictionary[LinearModel, _Session]" = weakref.WeakKeyDictionary()
 
 
@@ -93,18 +95,16 @@ class _Session:
         self.highs = highs
         self.columns = np.arange(n, dtype=np.int32)
         self.rows = model.num_rows
-        self.revision = model.revision
 
     def follows(self, model: LinearModel) -> bool:
         """Catch up with ``model``; False when it changed beyond added rows."""
         added = model.num_rows - self.rows
-        if len(self.columns) != model.num_variables or model.revision - self.revision != added:
+        if len(self.columns) != model.num_variables:
             return False
         if added:
             lower, upper, start, index, value = _row_block(model, self.rows)
             self.highs.addRows(added, lower, upper, len(index), start[:-1], index, value)
             self.rows = model.num_rows
-            self.revision = model.revision
         return True
 
     def run(self, time_limit: float | None) -> tuple:

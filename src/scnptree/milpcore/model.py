@@ -64,8 +64,6 @@ class LinearModel:
         self.senses: list[str] = []
         self.rhs: list[float] = []
         self._var_index: dict[str, int] = {}
-        # Bumped on any structural change; lets solvers cache built matrices.
-        self.revision = 0
 
     # -- construction -----------------------------------------------------
 
@@ -88,7 +86,6 @@ class LinearModel:
         self.objective.append(float(objective))
         self.is_integer.append(bool(integer))
         self._var_index[name] = idx
-        self.revision += 1
         return idx
 
     def add_row(
@@ -114,7 +111,6 @@ class LinearModel:
         self.row_coefs.append([float(v) for v in coefs])
         self.senses.append(sense)
         self.rhs.append(float(rhs))
-        self.revision += 1
         return idx
 
     # -- views ------------------------------------------------------------

@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from scnptree.milpcore.model import (
-    EQUAL,
     GREATER_EQUAL,
     LESS_EQUAL,
     STATUS_INFEASIBLE,

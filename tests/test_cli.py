@@ -84,6 +84,16 @@ def test_eval_empty_attack_gives_total_cost(tmp_path, capsys):
     assert payload["attack"] == []
 
 
+@pytest.mark.parametrize("attack", ["7", "-1", "0,-2"])
+def test_eval_rejects_attack_nodes_outside_the_instance(tmp_path, capsys, attack):
+    run(capsys, "gen", "--n", "5", "--seed", "1", "--out-dir", str(tmp_path))
+    path = tmp_path / "tree_n5_unit_1.json"
+    code, out, err = run(capsys, "eval", str(path), "--attack", attack)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "outside 0..4" in err
+
+
 @pytest.mark.parametrize("method", ["benders", "milp", "exhaustive"])
 def test_solve_record_contract(tmp_path, capsys, method):
     inst = generate_instance(7, "type1", 11)
@@ -381,6 +391,42 @@ def test_reduce_edge_split(tmp_path, capsys):
     inst = read_instance(out_path)
     assert inst.node_count == 5
     assert inst.survival_prob[3:] == (0.3, 0.6)
+
+
+NESTED = {"n": 2, "edges": [[0, 1]], "p": [0.5, 0.5], "kappa": [1, 1], "K": 1}
+
+
+def write_cedp(tmp_path, instance):
+    payload = {"instance": instance, "edge_p": [[0, 1, 0.3]], "edge_kappa": [[0, 1, 1]]}
+    src = tmp_path / "cedp.json"
+    src.write_text(json.dumps(payload), encoding="utf-8")
+    return src
+
+
+def test_reduce_nested_instance_defaults_to_unit_costs(tmp_path, capsys):
+    src = write_cedp(tmp_path, NESTED)  # no "c" field
+    out_path = tmp_path / "split.json"
+    code, _, _ = run(capsys, "reduce", "--kind", "cedp", str(src), "--out", str(out_path))
+    assert code == 0
+    inst = read_instance(out_path)
+    assert inst.node_count == 3
+    assert inst.pair_cost(0, 1) == 1.0  # unit cost between the original nodes
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        ({k: v for k, v in NESTED.items() if k != "edges"}, "missing field 'edges'"),
+        ({**NESTED, "c": "bogus"}, "'c' must be"),
+    ],
+)
+def test_reduce_rejects_a_malformed_nested_instance(tmp_path, capsys, instance, message):
+    src = write_cedp(tmp_path, instance)
+    code, _, err = run(
+        capsys, "reduce", "--kind", "cedp", str(src), "--out", str(tmp_path / "o.json")
+    )
+    assert code == 2
+    assert err.startswith("error:") and message in err
 
 
 def test_reduce_edge_uncertainty(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Random instance generator: topology, weight schemes, determinism."""
 
-import numpy as np
 import pytest
 
 import oracles
@@ -90,7 +89,7 @@ def test_instance_filename():
 def test_assign_weights_rejects_unknown_scheme():
     edges = broder_tree(5, 0)
     with pytest.raises(ValueError):
-        assign_weights(edges, "bogus", 0, node_count=5)
+        assign_weights(edges, "bogus", 0)
 
 
 def test_tree_sampler_hits_every_labeled_tree():

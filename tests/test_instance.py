@@ -252,6 +252,12 @@ def test_attack_vector_constructors_and_cost():
     assert AttackVector.empty(4).flags == (0, 0, 0, 0)
 
 
+def test_attack_vector_rejects_nodes_outside_the_instance():
+    for node in (4, -1):
+        with pytest.raises(ValueError, match="outside"):
+            AttackVector.from_nodes([0, node], 4)
+
+
 def test_attack_feasibility_budget_and_certain_nodes():
     inst = small_instance()
     assert AttackVector.from_nodes([0, 1], 4).is_feasible(inst)  # cost 3 = budget

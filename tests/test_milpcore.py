@@ -60,14 +60,6 @@ def test_model_rejects_bad_rows():
         m.add_row("r", [0], [1.0], "<", 1.0)  # unknown sense
 
 
-def test_model_revision_tracks_structure():
-    m = LinearModel()
-    r0 = m.revision
-    m.add_variable("x")
-    m.add_row("r", [0], [1.0], LESS_EQUAL, 1.0)
-    assert m.revision == r0 + 2
-
-
 def test_dump_format(tmp_path):
     m = LinearModel("demo")
     m.add_variable("x", 0.0, 4.0, 2.0)

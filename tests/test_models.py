@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from scnptree import exhaustive_solve, generate_instance, make_instance
+from scnptree import generate_instance, make_instance
 from scnptree.instance import build_path_table
 from scnptree.milpcore import STATUS_OPTIMAL, solve_lp, solve_milp
 from scnptree.models import (
