@@ -21,7 +21,6 @@ from scnptree.evaluator import pair_costs, pair_survival
 from scnptree.instance import AttackVector, PathTable, TreeInstance, build_path_table
 from scnptree.milpcore import (
     STATUS_INFEASIBLE,
-    STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
     GREATER_EQUAL,
@@ -132,11 +131,12 @@ def slave_primal(instance: TreeInstance, path: tuple[int, ...], attack: AttackVe
     return SlaveSolution(tuple(survival), tuple(removal), cost * level)
 
 
-def pair_values(instance: TreeInstance, paths: PathTable, attack: AttackVector) -> dict[tuple[int, int], float]:
-    """Slave objectives for every pair: cost times the pair's path survival
-    product from ``evaluator.pair_survival``; empty when n = 1."""
+def pair_values(instance: TreeInstance, paths: PathTable, attack: AttackVector) -> np.ndarray:
+    """Slave objectives of every pair in ``paths.pairs()`` order: cost times
+    the pair's path survival product from ``evaluator.pair_survival``;
+    empty when n = 1."""
     products = pair_survival(instance, paths, np.array([attack.flags]))[0]
-    return dict(zip(paths.pairs(), (products * pair_costs(instance, paths)).tolist()))
+    return products * pair_costs(instance, paths)
 
 
 def analytic_dual(instance: TreeInstance, path: tuple[int, ...], attack: AttackVector) -> PathDuals:
@@ -244,24 +244,12 @@ def cut_from_duals(duals: PathDuals, instance: TreeInstance, path: tuple[int, ..
     return BendersCut(pair=pair, constant=constant, coefficients=tuple(coefficients))
 
 
-def _build_master(
-    instance: TreeInstance,
-    pairs: list[tuple[int, int]],
-    use_valid_ineq: bool,
-) -> tuple[LinearModel, tuple[int, ...], dict[tuple[int, int], int]]:
-    model = LinearModel("interdiction_master")
-    attack_cols = _add_attack_block(model, instance, add_valid_ineq=use_valid_ineq)
-    z_cols = {pair: model.add_variable(f"z_{pair[0]}_{pair[1]}", objective=1.0) for pair in pairs}
-    return model, attack_cols, z_cols
-
-
 def bd_scnp(
     instance: TreeInstance,
     eps: float = 1e-3,
     time_limit: float | None = None,
     use_valid_ineq: bool = True,
     backend: str = "auto",
-    max_iterations: int | None = None,
 ) -> BendersResult:
     """Exact minimization by iterating master solves and analytic cuts.
 
@@ -269,15 +257,20 @@ def bd_scnp(
     bound, evaluates every slave at the proposed flags for an upper bound,
     and appends one cut per pair whose surrogate undercuts its slave value
     by more than 1e-9.  The previous flags and slave values warm-start the
-    next master.  Stops when UB - LB <= eps, the time limit expires, or
-    ``max_iterations`` is reached.
+    next master.  Stops when UB - LB <= eps, when no surrogate undercuts
+    its slave, or when the time limit expires.  Per-pair arrays follow
+    ``paths.pairs()`` order.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     start = time.perf_counter()
     paths = build_path_table(instance)
     pairs = list(paths.pairs())
-    master, attack_cols, z_cols = _build_master(instance, pairs, use_valid_ineq)
+    master = LinearModel("interdiction_master")
+    attack_cols = _add_attack_block(master, instance, add_valid_ineq=use_valid_ineq)
+    z_cols = np.array(
+        [master.add_variable(f"z_{i}_{j}", objective=1.0) for i, j in pairs], dtype=np.intp
+    )
     master_gap = min(1e-6, max(eps * 0.25, 1e-12))
 
     lower = 0.0
@@ -287,7 +280,6 @@ def bd_scnp(
     trace: list[TraceRow] = []
     cut_log: list[CutRecord] = []
     warm: np.ndarray | None = None
-    status = STATUS_ITERATION_LIMIT
     iteration = 0
 
     while True:
@@ -309,7 +301,7 @@ def bd_scnp(
         lower = max(lower, min(res.bound, res.objective))
         flags = attack_from_solution(attack_cols, res.x)
         values = pair_values(instance, paths, flags)
-        candidate = math.fsum(values[pair] for pair in pairs)
+        candidate = math.fsum(values)
         if candidate < upper - 1e-12:
             upper = candidate
             incumbent = flags
@@ -317,35 +309,31 @@ def bd_scnp(
         done = upper - lower <= eps
         added = 0
         if not done:
-            for pair in pairs:
-                z_value = float(res.x[z_cols[pair]])
-                slave_value = values[pair]
-                if z_value < slave_value - 1e-9:
-                    duals = analytic_dual(instance, paths.path(*pair), flags)
-                    cut = cut_from_duals(duals, instance, paths.path(*pair))
-                    cols = [z_cols[pair]] + [attack_cols[i] for i, _ in cut.coefficients]
-                    coefs = [1.0] + [-c for _, c in cut.coefficients]
-                    master.add_row(
-                        f"cut{cuts_total + added}_{pair[0]}_{pair[1]}",
-                        cols,
-                        coefs,
-                        GREATER_EQUAL,
-                        cut.constant,
+            z = res.x[z_cols]
+            for k in np.flatnonzero(z < values - 1e-9):
+                i, j = pairs[k]
+                path = paths.path(i, j)
+                cut = cut_from_duals(analytic_dual(instance, path, flags), instance, path)
+                master.add_row(
+                    f"cut{cuts_total + added}_{i}_{j}",
+                    [int(z_cols[k])] + [attack_cols[node] for node, _ in cut.coefficients],
+                    [1.0] + [-c for _, c in cut.coefficients],
+                    GREATER_EQUAL,
+                    cut.constant,
+                )
+                cut_log.append(
+                    CutRecord(
+                        iteration=iteration,
+                        cut=cut,
+                        master_flags=flags.flags,
+                        master_z=float(z[k]),
+                        slave_value=float(values[k]),
                     )
-                    cut_log.append(
-                        CutRecord(
-                            iteration=iteration,
-                            cut=cut,
-                            master_flags=flags.flags,
-                            master_z=z_value,
-                            slave_value=slave_value,
-                        )
-                    )
-                    added += 1
-            if added == 0:
-                # Every surrogate already matches its slave, so the master
-                # value is exact; the remaining gap is solver tolerance.
-                done = True
+                )
+                added += 1
+            # No undercut pair: every surrogate matches its slave, so the
+            # master value is exact and the remaining gap is solver tolerance.
+            done = added == 0
         cuts_total += added
         trace.append(
             TraceRow(
@@ -360,14 +348,9 @@ def bd_scnp(
         if done:
             status = STATUS_OPTIMAL
             break
-        if max_iterations is not None and iteration >= max_iterations:
-            status = STATUS_ITERATION_LIMIT
-            break
         warm = np.zeros(master.num_variables)
-        for i, flag in enumerate(flags.flags):
-            warm[attack_cols[i]] = flag
-        for pair in pairs:
-            warm[z_cols[pair]] = values[pair]
+        warm[list(attack_cols)] = flags.flags
+        warm[z_cols] = values
 
     return BendersResult(
         status=status,

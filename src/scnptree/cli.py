@@ -17,7 +17,8 @@ still written, and the exit code is 1.
 
 ``reduce`` parses a nested instance with ``instance_from_payload``, the
 parser behind instance files (a missing ``c`` means unit costs), so a
-malformed one raises a ``ParseError`` that names the field.
+malformed one raises a ``ParseError`` that names the field; a payload or
+nested instance that is not a JSON object raises one that names the input.
 
 Exit codes: 0 on success, 1 on solver failure, 2 on usage errors
 (including a malformed reduce payload and an ``eval --attack`` node
@@ -329,6 +330,8 @@ def _edge_values(rows) -> dict[tuple[int, int], float]:
 def cmd_reduce(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ParseError(f"{args.input}: must be a JSON object")
     reply = {"instance": args.out}
     if args.kind == "knapsack":
         items = [(float(p), float(w)) for p, w in payload["items"]]
@@ -336,8 +339,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             items, float(payload["capacity"]), float(payload["target"])
         )
     else:
-        # a nested instance may leave out "c" for unit connection costs
-        base = instance_from_payload({"c": "unit", **payload["instance"]}, f"{args.input}: instance")
+        nested = payload["instance"]
+        if isinstance(nested, dict):
+            # a nested instance may leave out "c" for unit connection costs
+            nested = {"c": "unit", **nested}
+        base = instance_from_payload(nested, f"{args.input}: instance")
         if args.kind == "cedp":
             edge_p, edge_k = _edge_values(payload["edge_p"]), _edge_values(payload["edge_kappa"])
             instance = reductions.cedp_to_scnp(base, edge_p, edge_k)

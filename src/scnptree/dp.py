@@ -37,13 +37,16 @@ import numpy as np
 from scnptree.evaluator import objective_tree
 from scnptree.instance import AttackVector, TreeInstance, build_path_table
 
+# Largest state bound n*n*K*mu that dp_solve accepts.
+STATE_CAP = 1_000_000_000
+
 
 class NonUnitCosts(ValueError):
     """The dynamic program requires unit connection and attack costs."""
 
 
 class StateOverflow(RuntimeError):
-    """The state space bound n*n*K*mu exceeds the configured cap."""
+    """The state space bound n*n*K*mu exceeds ``STATE_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -121,14 +124,14 @@ def _rooted_children(instance: TreeInstance, root: int) -> tuple[list[list[int]]
 
 
 def _merge(
-    rest: _Table, child: _Table, q: tuple[np.ndarray, ...], den: int, mu: int, budget: int
+    rest: _Table, child: _Table, q: tuple[np.ndarray, np.ndarray], den: int, mu: int, budget: int
 ) -> tuple[_Table, int]:
     """Fold a child's table into its node's table; also count the pairs formed.
 
-    ``q`` holds the numerators, unattacked and attacked, of the node, the
-    child and the node whose probability advances c.
+    ``q`` holds the numerators, unattacked and attacked, of the node and
+    the child.
     """
-    q_node, q_child, q_advance = q
+    q_node, q_child = q
     # Pairs are formed child row major with child rows by attacks descending;
     # within one (attacks, flag) that is the order rest key, child row, rest
     # row, which the stable sort below keeps among equal values.
@@ -143,8 +146,9 @@ def _merge(
     c_rest = rest.c[rest_row]
     c_child = child.c[child_row]
     t3 = qn * c_child // den
-    c = c_rest + mu * qn * q_advance[child.flag[child_row]] // (den * den) + t3
-    value = rest.value[rest_row] + child.value[child_row] + mu * qn * qc // (den * den)
+    direct = mu * qn * qc // (den * den)
+    c = c_rest + direct + t3
+    value = rest.value[rest_row] + child.value[child_row] + direct
     value += qc * c_rest // den + t3 + c_child * c_rest // mu
     key = cell.astype(c.dtype) * (c.max() + 1) + c
     order = np.lexsort((value, key))
@@ -164,15 +168,13 @@ def dp_solve(
     max_attacks: int,
     nu: int,
     root: int = 0,
-    state_cap: int = 1_000_000_000,
-    literal_advance: bool = False,
 ) -> ApproxResult:
     """Minimize expected connected pairs with at most ``max_attacks`` hits.
 
-    ``nu`` sets the truncation scale mu = 10**nu.  ``literal_advance``
-    switches the connection advance of non-final child merges to read the
-    next sibling's probability instead of the merged child's own; it exists
-    only so tests can compare the two readings and is off everywhere else.
+    ``nu`` sets the truncation scale mu = 10**nu, and the tree is rooted at
+    ``root``.  Every merge advances c by the merged child's own probability.
+    Raises ``StateOverflow`` before any merge when n*n*K*mu exceeds
+    ``STATE_CAP``.
     """
     _require_unit_costs(instance)
     if max_attacks < 0:
@@ -184,9 +186,9 @@ def dp_solve(
     n = instance.node_count
     budget = int(max_attacks)
     mu = 10**nu
-    if n * n * budget * mu > state_cap:
+    if n * n * budget * mu > STATE_CAP:
         raise StateOverflow(
-            f"state bound n*n*K*mu = {n * n * budget * mu} exceeds cap {state_cap}"
+            f"state bound n*n*K*mu = {n * n * budget * mu} exceeds cap {STATE_CAP}"
         )
 
     numerators, den = _scaled_probabilities(instance)
@@ -204,12 +206,9 @@ def dp_solve(
     for node in bottom_up:
         kids = children[node]
         node_levels = [base]
-        for position in range(len(kids) - 1, -1, -1):
-            child = kids[position]
-            literal = literal_advance and position + 1 < len(kids)
-            advance = kids[position + 1] if literal else child
+        for child in reversed(kids):
             merged, transitions = _merge(
-                node_levels[-1], levels[child][0], (q[node], q[child], q[advance]), den, mu, budget
+                node_levels[-1], levels[child][0], (q[node], q[child]), den, mu, budget
             )
             transition_count += transitions
             node_levels.append(merged)

@@ -216,7 +216,8 @@ class PathTable:
     The tree is rooted at node 0.  ``parent`` maps each node to its parent
     (the root to itself) and ``levels`` is the height plus two.  Pairs
     (i, j) with i < j are taken in lexicographic order, the column order of
-    ``evaluator.pair_survival`` and of every per-pair array.  A pair's path
+    ``evaluator.pair_survival`` and of every per-pair array, such as
+    ``benders.pair_values`` and the cut loop's z columns.  A pair's path
     is two upward runs: from i to just below the lowest common ancestor,
     and from j to the ancestor inclusive.  ``slots`` has shape (2, pairs)
     and holds each run as length * n + start, its position in
@@ -348,7 +349,7 @@ def read_instance(path) -> TreeInstance:
 def instance_from_payload(raw, source) -> TreeInstance:
     """Validate a decoded instance object; ``source`` prefixes error messages."""
     if not isinstance(raw, dict):
-        raise ParseError(f"{source}: top-level value must be an object")
+        raise ParseError(f"{source}: must be a JSON object")
 
     for key in ("n", "edges", "p", "kappa", "c", "K"):
         if key not in raw:

@@ -1,5 +1,6 @@
 """Closed-form slave pricing, analytic duals, cut validity, and the
-full cut-generation loop."""
+full cut-generation loop, checked against the chain MILP past exhaustive
+search."""
 
 import csv
 import math
@@ -20,7 +21,9 @@ from scnptree.benders import (
     write_trace_csv,
 )
 from scnptree.instance import AttackVector, build_path_table
-from scnptree.milpcore import STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, STATUS_TIME_LIMIT
+from scnptree.evaluator import exhaustive_solve
+from scnptree.milpcore import STATUS_OPTIMAL, STATUS_TIME_LIMIT, solve_milp
+from scnptree.models import build_chain_milp
 
 
 def three_node_path():
@@ -119,8 +122,9 @@ def test_pair_values_agree_with_slaves():
     paths = build_path_table(inst)
     attack = oracles.attack_with_at_most(rng, inst, 4)
     values = pair_values(inst, paths, attack)
-    assert set(values) == set(paths.pairs())
-    for pair, value in values.items():
+    pairs = list(paths.pairs())
+    assert values.shape == (len(pairs),)
+    for pair, value in zip(pairs, values):
         assert value == pytest.approx(
             slave_primal(inst, paths.path(*pair), attack).objective, abs=1e-12
         )
@@ -192,14 +196,26 @@ def test_time_limit_zero_stops_before_first_master():
     assert res.lower_bound == 0.0
 
 
-def test_iteration_cap_reports_honest_bounds():
-    inst = generate_instance(9, "type2", 65)
-    capped = bd_scnp(inst, eps=1e-9, max_iterations=1)
-    full = bd_scnp(inst, eps=1e-9)
-    assert capped.status == STATUS_ITERATION_LIMIT
-    assert capped.iterations == 1
-    assert capped.lower_bound <= full.upper_bound + 1e-9
-    assert capped.upper_bound >= full.upper_bound - 1e-9
+def test_time_limit_reports_honest_bounds():
+    # The full run takes seconds; 0.05 s stops it after a round or two.
+    inst = generate_instance(18, "type3", 2)
+    _, optimum = exhaustive_solve(inst)
+    res = bd_scnp(inst, time_limit=0.05)
+    assert res.status == STATUS_TIME_LIMIT
+    assert res.lower_bound <= optimum + 1e-9
+    assert optimum <= res.upper_bound + 1e-9
+
+
+@pytest.mark.parametrize("scheme", ["type1", "type2"])
+def test_loop_agrees_with_chain_milp_past_exhaustive_search(scheme):
+    inst = generate_instance(30, scheme, 1)
+    loop = bd_scnp(inst)
+    model, _ = build_chain_milp(inst, build_path_table(inst), add_valid_ineq=True)
+    milp = solve_milp(model, gap=1e-6)
+    assert loop.status == STATUS_OPTIMAL and milp.status == STATUS_OPTIMAL
+    assert loop.upper_bound == pytest.approx(milp.objective, abs=1e-3)
+    assert loop.lower_bound <= milp.objective + 1e-9
+    assert milp.bound <= loop.upper_bound + 1e-9
 
 
 def test_valid_inequality_toggle_keeps_value():

@@ -429,6 +429,24 @@ def test_reduce_rejects_a_malformed_nested_instance(tmp_path, capsys, instance, 
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        ("knapsack", [1, 2], "payload.json: must be a JSON object"),
+        ("cedp", {"instance": [1, 2], "edge_p": [], "edge_kappa": []},
+         "payload.json: instance: must be a JSON object"),
+    ],
+)
+def test_reduce_rejects_a_payload_that_is_not_an_object(tmp_path, capsys, kind, payload, message):
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(
+        capsys, "reduce", "--kind", kind, str(src), "--out", str(tmp_path / "o.json")
+    )
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
 def test_reduce_edge_uncertainty(tmp_path, capsys):
     payload = {
         "instance": {

@@ -1,14 +1,20 @@
 """Truncated dynamic program: hand cases, the two-sided value sandwich on
 random and degenerate trees and around the chain MILP at n = 30-40, pinned
-results, the integer type, input validation, and the corrected child-merge
-advance."""
+results, the integer type, input validation, and the child-merge advance
+against brute force."""
 
 import numpy as np
 import pytest
 
 import oracles
 from scnptree import dp_solve, generate_instance, make_instance
-from scnptree.dp import NonUnitCosts, StateOverflow, _int_dtype, _scaled_probabilities
+from scnptree.dp import (
+    STATE_CAP,
+    NonUnitCosts,
+    StateOverflow,
+    _int_dtype,
+    _scaled_probabilities,
+)
 from scnptree.evaluator import objective_tree
 from scnptree.instance import AttackVector, build_path_table
 from scnptree.milpcore import STATUS_OPTIMAL, solve_milp
@@ -184,10 +190,12 @@ def test_rejects_non_unit_connection_costs():
 
 
 def test_state_cap_overflow():
-    rng = np.random.default_rng(77)
-    inst = unit_instance(rng, 10, 5)
+    # n*n*K*mu = 200 * 200 * 20 * 10**4 = 8e9 exceeds the cap; it raises
+    # before any merge.
+    inst = generate_instance(200, "unit", 1)
+    assert 200 * 200 * 20 * 10**4 > STATE_CAP
     with pytest.raises(StateOverflow):
-        dp_solve(inst, max_attacks=5, nu=4, state_cap=10)
+        dp_solve(inst, max_attacks=20, nu=4)
 
 
 def test_parameter_validation():
@@ -211,17 +219,12 @@ def test_counters_track_work():
     assert large.transition_count > small.transition_count
 
 
-def test_corrected_advance_beats_the_literal_reading():
+def test_child_advance_matches_brute_force():
     rng = np.random.default_rng(80)
-    diverged = 0
     for _ in range(40):
         n = int(rng.integers(4, 10))
         k = int(rng.integers(1, n))
         inst = unit_instance(rng, n, k)
         _, opt = oracles.brute_force_optimum(inst)
-        corrected = dp_solve(inst, max_attacks=k, nu=6)
-        literal = dp_solve(inst, max_attacks=k, nu=6, literal_advance=True)
-        assert corrected.exact_value == pytest.approx(opt, abs=1e-6)
-        if literal.exact_value > opt + 1e-6:
-            diverged += 1
-    assert diverged > 0, "expected the literal advance to miss on some trees"
+        res = dp_solve(inst, max_attacks=k, nu=6)
+        assert res.exact_value == pytest.approx(opt, abs=1e-6)
