@@ -332,11 +332,17 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ParseError(f"{args.input}: must be a JSON object")
+
+    def field(key: str, parse):
+        try:
+            return parse(payload[key])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{args.input}: malformed field '{key}': {exc}", field=key) from exc
     reply = {"instance": args.out}
     if args.kind == "knapsack":
-        items = [(float(p), float(w)) for p, w in payload["items"]]
+        items = field("items", lambda rows: [(float(p), float(w)) for p, w in rows])
         instance, reply["threshold"] = reductions.knapsack_to_dscnp(
-            items, float(payload["capacity"]), float(payload["target"])
+            items, field("capacity", float), field("target", float)
         )
     else:
         nested = payload["instance"]
@@ -345,10 +351,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             nested = {"c": "unit", **nested}
         base = instance_from_payload(nested, f"{args.input}: instance")
         if args.kind == "cedp":
-            edge_p, edge_k = _edge_values(payload["edge_p"]), _edge_values(payload["edge_kappa"])
+            edge_p, edge_k = field("edge_p", _edge_values), field("edge_kappa", _edge_values)
             instance = reductions.cedp_to_scnp(base, edge_p, edge_k)
         else:  # edge-uncertainty
-            presence = _edge_values(payload["edge_presence"])
+            presence = field("edge_presence", _edge_values)
             instance = reductions.edge_uncertainty_to_deterministic(base, presence)
     write_instance(instance, args.out)
     print(json.dumps(reply))

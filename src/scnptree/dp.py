@@ -101,11 +101,11 @@ def _scaled_probabilities(instance: TreeInstance) -> tuple[list[int], int]:
 def _int_dtype(n: int, mu: int, den: int) -> type:
     """``np.int64`` when no DP intermediate can overflow it, else ``object``.
 
-    With numerators at most ``den``, c < mu*n and values < mu*n*n, the
-    largest intermediates are mu*den*den, den*mu*n, (mu*n)**2, and the
-    sort key and pruning shift, both below 2(n+1)*mu*n*n.
+    With numerators at most ``den``, c < mu*n, values < mu*n*n and at most
+    n attacks per table, the largest intermediates are mu*den*den, den*mu*n
+    and the sort composite, below 2(n+1)*mu**2*n**3 (as is (mu*n)**2).
     """
-    bound = max(mu * den * den, den * mu * n, (mu * n) ** 2, 2 * (n + 1) * mu * n * n)
+    bound = max(mu * den * den, den * mu * n, 2 * (n + 1) * mu**2 * n**3)
     return np.int64 if bound < 2**62 else object
 
 
@@ -134,7 +134,7 @@ def _merge(
     q_node, q_child = q
     # Pairs are formed child row major with child rows by attacks descending;
     # within one (attacks, flag) that is the order rest key, child row, rest
-    # row, which the stable sort below keeps among equal values.
+    # row; among equal values the sort below keeps the first pair formed.
     by_attacks_down = np.lexsort((child.c, child.flag, -child.attacks))
     feasible = child.attacks[by_attacks_down, None] + rest.attacks[None, :] <= budget
     ranks, rest_row = np.nonzero(feasible)
@@ -150,14 +150,16 @@ def _merge(
     c = c_rest + direct + t3
     value = rest.value[rest_row] + child.value[child_row] + direct
     value += qc * c_rest // den + t3 + c_child * c_rest // mu
-    key = cell.astype(c.dtype) * (c.max() + 1) + c
-    order = np.lexsort((value, key))
-    # Sorted by (attacks, flag, c, value), a row survives if its value is
-    # strictly below every earlier value of its (attacks, flag) cell, which
-    # also drops all but the first least value per c.  Shifting each cell
-    # down by cell * (max value + 1) puts it wholly below the cells before
-    # it, so one running minimum restarts at every cell.
-    shifted = value[order] - cell[order].astype(c.dtype) * (value.max() + 1)
+    # One integer orders rows by (attacks, flag, c, value); each run of
+    # equal ones keeps its least row.  A row survives if its value is
+    # strictly below every earlier value of its (attacks, flag) cell:
+    # shifting each cell down by cell * span puts it wholly below the cells
+    # before it, so one running minimum restarts at every cell.
+    span = value.max() + 1
+    composite = (cell.astype(c.dtype) * (c.max() + 1) + c) * span + value
+    order = np.argsort(composite)
+    order = np.minimum.reduceat(order, np.flatnonzero(np.diff(composite[order], prepend=-1)))
+    shifted = value[order] - cell[order].astype(c.dtype) * span
     order = order[np.r_[True, shifted[1:] < np.minimum.accumulate(shifted)[:-1]]]
     columns = (cell // 2, flag, c, value, child_row, rest_row)
     return _Table(*(column[order] for column in columns)), len(rest_row)

@@ -2,11 +2,11 @@
 
 Two exact models over binary attack flags v_i:
 
-- build_chain_milp: per path-position survival variables s and removal
-  variables r linearize the product of per-node survival factors along
-  every pair's path.  All pairs starting at the same node reuse one
-  variable set per reachable node (the paths from a fixed start form a
-  tree, so each position is a node).
+- build_chain_milp: one survival column per path position bounds the
+  product of per-node survival factors along every pair's path from
+  below, and nonnegative costs pull each costed level onto it.  All pairs
+  starting at the same node reuse one column per reachable node (the
+  paths from a fixed start form a tree, so each position is a node).
 - build_ilp_p: when every node has the same survival probability p, only
   the number of attacked nodes on a path matters; selector variables pick
   that count per pair.
@@ -32,9 +32,9 @@ class ChainIndex:
     """Column positions for a chain model.
 
     ``survival[(i, j)][k]`` is the column of the survival level after the
-    path's (k+1)-th node; the last entry carries the pair's cost in the
-    objective.  Pairs with the same start node share the columns of their
-    common prefix.
+    path's (k+1)-th node, a position's only column; the last entry carries
+    the pair's cost.  Pairs with the same start node share the columns of
+    their common prefix.
     """
 
     attack: tuple[int, ...]
@@ -97,32 +97,14 @@ def _add_attack_block(
 
 
 def _chain_rows(
-    model: LinearModel,
-    instance: TreeInstance,
-    attack: tuple[int, ...],
-    node: int,
-    s_var: int,
-    r_var: int,
-    prev_s: int | None,
-    tag: str,
+    model: LinearModel, v: int, s: int, prev_s: int | None, q: float, tag: str
 ) -> None:
-    """Rows tying one position's removal and survival to its predecessor."""
-    q = 1.0 - instance.survival_prob[node]
+    """Rows bounding a position's survival level s from below; q = 1 - p."""
     if prev_s is None:
-        # First position: removal is exactly the attack's removal mass.
-        model.add_row(f"rfix_{tag}", [r_var, attack[node]], [1.0, -q], EQUAL, 0.0)
-        model.add_row(f"sdef_{tag}", [s_var, r_var], [1.0, 1.0], EQUAL, 1.0)
+        model.add_row(f"sfirst_{tag}", [s, v], [1.0, q], GREATER_EQUAL, 1.0)
         return
-    model.add_row(f"rcapv_{tag}", [r_var, attack[node]], [1.0, -q], LESS_EQUAL, 0.0)
-    model.add_row(f"rcaps_{tag}", [r_var, prev_s], [1.0, -q], LESS_EQUAL, 0.0)
-    model.add_row(
-        f"rlink_{tag}",
-        [r_var, prev_s, attack[node]],
-        [1.0, -q, -q],
-        GREATER_EQUAL,
-        -q,
-    )
-    model.add_row(f"sbal_{tag}", [s_var, prev_s, r_var], [1.0, -1.0, 1.0], EQUAL, 0.0)
+    model.add_row(f"sdrop_{tag}", [s, prev_s, v], [1.0, -1.0, q], GREATER_EQUAL, 0.0)
+    model.add_row(f"sscale_{tag}", [s, prev_s], [1.0, q - 1.0], GREATER_EQUAL, 0.0)
 
 
 def build_chain_milp(
@@ -132,13 +114,16 @@ def build_chain_milp(
 ) -> tuple[LinearModel, ChainIndex]:
     """Exact model: minimize total expected pairwise connection cost.
 
-    Each pair's path carries a survival level s that starts at 1 and drops
-    by the removal mass r at every node; at binary attack flags the final
-    level equals the product of per-node survival factors, so the optimum
-    matches the exhaustive objective.  Paths from one start node i form a
-    tree, so pairs (i, j) share their common prefix: position (i, u) gets
-    one (s, r) column pair, created the first time a path from i meets u,
-    and carries the cost of pair (i, u) when u > i.
+    Each pair's path carries a survival level s.  With q = 1 - p of the
+    node, the level is at least 1 - q*v at the path's first node and at
+    least max(s_prev - q*v, (1 - q)*s_prev) at every later one.  Both
+    bounds are nondecreasing in s_prev and pair costs are nonnegative, so
+    a minimum puts every level that carries cost, or feeds one, on its
+    bound; at binary v that is the product of per-node survival factors,
+    so the optimum matches the exhaustive objective.  Paths from one start
+    node i form a tree, so pairs (i, j) share their common prefix:
+    position (i, u) gets one column, created the first time a path from i
+    meets u, and carries the cost of pair (i, u) when u > i.
     """
     model = LinearModel("chain")
     attack = _add_attack_block(model, instance, add_valid_ineq=add_valid_ineq)
@@ -150,9 +135,9 @@ def build_chain_milp(
             if (i, u) not in s_at:
                 cost = instance.pair_cost(i, u) if u > i else 0.0
                 s_at[i, u] = model.add_variable(f"s_{i}_{u}", objective=cost)
-                r_var = model.add_variable(f"r_{i}_{u}")
                 prev = cols[-1] if cols else None
-                _chain_rows(model, instance, attack, u, s_at[i, u], r_var, prev, f"{i}_{u}")
+                q = 1.0 - instance.survival_prob[u]
+                _chain_rows(model, attack[u], s_at[i, u], prev, q, f"{i}_{u}")
             cols.append(s_at[i, u])
         survival[i, j] = tuple(cols)
     return model, ChainIndex(attack, survival)
@@ -225,5 +210,6 @@ def model_size(model: LinearModel) -> dict[str, int]:
 
 
 def chain_survival_value(index: ChainIndex, pair: tuple[int, int], x) -> float:
-    """Final survival level of a pair in a solved chain model."""
+    """Final survival level of a pair in a solved chain model: its path's
+    survival product if the pair has positive cost, else possibly above it."""
     return float(x[index.survival[pair][-1]])

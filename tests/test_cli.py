@@ -447,6 +447,26 @@ def test_reduce_rejects_a_payload_that_is_not_an_object(tmp_path, capsys, kind, 
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        ("knapsack", {"items": 5, "capacity": 5, "target": 6}, "malformed field 'items'"),
+        ("knapsack", {"items": [[1, 1]], "capacity": [5], "target": 6},
+         "malformed field 'capacity'"),
+        ("cedp", {"instance": NESTED, "edge_p": 7, "edge_kappa": [[0, 1, 1]]},
+         "malformed field 'edge_p'"),
+    ],
+)
+def test_reduce_names_a_payload_field_of_the_wrong_type(tmp_path, capsys, kind, payload, message):
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(
+        capsys, "reduce", "--kind", kind, str(src), "--out", str(tmp_path / "o.json")
+    )
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
 def test_reduce_edge_uncertainty(tmp_path, capsys):
     payload = {
         "instance": {

@@ -129,6 +129,16 @@ def test_pinned_generator_instances(n, seed, k, nu, root, value, attacked, state
     assert (res.state_count, res.transition_count) == (states, transitions)
 
 
+@pytest.mark.parametrize("root, attacked", [(0, [0, 10, 11]), (11, [0, 9, 10])])
+def test_equal_states_keep_the_first_pair_formed(root, attacked):
+    # identical leaves reach each state through many pairs; keeping the
+    # first pair formed decides which of the equal attacks is replayed
+    n = 12
+    star = make_instance(n, [(0, k) for k in range(1, n)], [0.5] * n, [1.0] * n, None, 3.0)
+    res = dp_solve(star, max_attacks=3, nu=2, root=root)
+    assert res.attack == AttackVector.from_nodes(attacked, n)
+
+
 def test_generator_instances_take_int64():
     # object arrays are exact too, but several times slower
     for n in range(1, 201):

@@ -1,12 +1,16 @@
 """Chain formulation, the equal-probability selector formulation, and
 the leaf dominance inequalities."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import oracles
 from scnptree import generate_instance, make_instance
-from scnptree.instance import build_path_table
+from scnptree.evaluator import objective_tree
+from scnptree.instance import AttackVector, build_path_table
 from scnptree.milpcore import STATUS_OPTIMAL, solve_lp, solve_milp
 from scnptree.models import (
     UnequalProbabilities,
@@ -60,14 +64,75 @@ def test_chain_milp_survival_levels_match_formula():
 
 
 def test_chain_milp_size_and_root_lp_are_pinned():
-    # One variable set per (start node, node): 140 columns and 243 rows
-    # here, where one chain per pair needs 360 x 611 for the same root LP.
+    # One survival column per (start node, node): 75 columns and 122 rows
+    # here, where survival-plus-removal columns needed 140 x 243 and one
+    # chain per pair 360 x 611 for the same root LP.
     inst = generate_instance(10, "type1", 33)
     model, _ = build_chain_milp(inst, build_path_table(inst))
-    assert (model.num_variables, model.num_rows) == (140, 243)
+    assert (model.num_variables, model.num_rows) == (75, 122)
     assert solve_lp(model).objective == pytest.approx(53.947526, abs=1e-7)
     _, expected = oracles.brute_force_optimum(inst)
     assert solve_milp(model, gap=0.0).objective == pytest.approx(expected, abs=1e-7)
+
+
+def _projection_instance(shape: str, probs: str):
+    rng = np.random.default_rng(35)
+    n = 7
+    edges = [(0, k) for k in range(1, n)] if shape == "star" else [(k, k + 1) for k in range(n - 1)]
+    p = {
+        "zero": [0.0] * n,
+        "one": [1.0] * n,
+        "zero_or_one": list(rng.integers(0, 2, n).astype(float)),
+        "shared": [0.4] * n,
+        "random": list(rng.random(n)),
+    }[probs]
+    # about a third of the pairs cost nothing
+    costs = [(i, j, float(rng.integers(0, 3))) for i in range(n) for j in range(i + 1, n)]
+    return make_instance(n, edges, p, [1.0] * n, costs, 3.0)
+
+
+@pytest.mark.parametrize("probs", ["zero", "one", "zero_or_one", "shared", "random"])
+@pytest.mark.parametrize("shape", ["star", "path"])
+def test_chain_lp_at_fixed_binary_attacks_is_the_objective(shape, probs):
+    # The chain model keeps only lower bounds on each survival level, so at
+    # every fixed binary attack its LP must still land on the exact
+    # objective, and every costed level on its path product.
+    inst = _projection_instance(shape, probs)
+    paths = build_path_table(inst)
+    model, index = build_chain_milp(inst, paths)
+    lower, upper = np.array(model.lower), np.array(model.upper)
+    attack_cols = list(index.attack)
+    attackable = [i for i in range(inst.node_count) if inst.survival_prob[i] < 1.0]
+    for chosen in itertools.product((0, 1), repeat=len(attackable)):
+        flags = [0] * inst.node_count
+        for i, bit in zip(attackable, chosen):
+            flags[i] = bit
+        attack = AttackVector(tuple(flags))
+        if not attack.is_feasible(inst):
+            continue
+        lower[attack_cols] = upper[attack_cols] = flags
+        expected = objective_tree(inst, paths, attack)
+        for backend in ("highs", "simplex"):
+            res = solve_lp(model, backend=backend, lower=lower, upper=upper)
+            assert res.status == STATUS_OPTIMAL
+            assert res.objective == pytest.approx(expected, abs=1e-9)
+            for pair in paths.pairs():
+                if inst.pair_cost(*pair) > 0:
+                    product = math.prod(
+                        1.0 - (1.0 - inst.survival_prob[k]) * flags[k] for k in paths.path(*pair)
+                    )
+                    level = chain_survival_value(index, pair, res.x)
+                    assert level == pytest.approx(product, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    ("n", "scheme", "root_lp"), [(21, "unit", 97.0667278), (30, "type1", 359.4785543)]
+)
+def test_chain_root_lp_with_dominance_rows_is_pinned(n, scheme, root_lp):
+    # Values of the survival-plus-removal model this one replaced.
+    inst = generate_instance(n, scheme, 1)
+    model, _ = build_chain_milp(inst, build_path_table(inst), add_valid_ineq=True)
+    assert solve_lp(model).objective == pytest.approx(root_lp, abs=1e-6)
 
 
 def test_certain_nodes_are_fixed_to_zero():
