@@ -1,8 +1,13 @@
 """Cut-generation solver: binary master plus closed-form path slaves.
 
 The master chooses attack flags v and one surrogate value z per node pair
-under the budget; each pair's slave prices the chain model at fixed v in
-closed form.  Dual values for every slave are available analytically, so
+under the shared attack block of ``models``; each pair's slave is an LP
+over the pair's path at fixed v, solved in closed form.  The slave keeps
+the survival-plus-removal form: per path position a survival level and
+the mass an attack removes from it.  ``models.build_chain_milp`` dropped
+the removal columns for lower bounds on the survival level alone; at
+fixed binary v both give the pair cost times the path's survival
+product.  Dual values for every slave are available analytically, so
 optimality cuts cost O(path length) and never touch an LP.  Lower bounds
 come from the master, upper bounds from evaluating the incumbent flags;
 the loop stops when they meet within ``eps``.
@@ -38,10 +43,12 @@ class MasterInfeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class SlaveSolution:
-    """Closed-form optimum of one pair's chain at fixed attack flags.
+    """Closed-form optimum of one pair's survival-plus-removal slave at
+    fixed attack flags.
 
     ``survival[k]`` is the product of per-node survival factors over the
-    first k+1 path nodes; ``removal[k]`` the mass removed at that step.
+    first k+1 path nodes; ``removal[k]`` the mass removed at that step,
+    the column the chain MILP no longer carries.
     """
 
     survival: tuple[float, ...]
@@ -51,7 +58,8 @@ class SlaveSolution:
 
 @dataclass(frozen=True)
 class PathDuals:
-    """Multipliers of one slave's rows, aligned with path positions.
+    """Multipliers of one survival-plus-removal slave's rows, aligned with
+    path positions; these rows are not the chain MILP's.
 
     ``attack_cap`` prices the rows tying removal to the attack flag (an
     equality at position 0, an upper cap beyond), ``balance`` the survival

@@ -333,7 +333,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if not isinstance(payload, dict):
         raise ParseError(f"{args.input}: must be a JSON object")
 
-    def field(key: str, parse):
+    def field(key: str, parse=lambda value: value):
+        if key not in payload:
+            raise ParseError(f"{args.input}: missing field '{key}'", field=key)
         try:
             return parse(payload[key])
         except (TypeError, ValueError) as exc:
@@ -345,7 +347,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             items, field("capacity", float), field("target", float)
         )
     else:
-        nested = payload["instance"]
+        nested = field("instance")
         if isinstance(nested, dict):
             # a nested instance may leave out "c" for unit connection costs
             nested = {"c": "unit", **nested}

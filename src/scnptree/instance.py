@@ -298,6 +298,9 @@ def build_path_table(instance: TreeInstance) -> PathTable:
     return PathTable(node_count=n, parent=parent_of, levels=max(depth) + 2, slots=slots)
 
 
+BUDGET_SLACK = 1e-9  # attack cost may exceed the budget by this much
+
+
 @dataclass(frozen=True)
 class AttackVector:
     """Binary attack decision per node."""
@@ -328,7 +331,7 @@ class AttackVector:
     def total_cost(self, instance: TreeInstance) -> float:
         return sum(instance.attack_cost[i] for i in self.attacked)
 
-    def is_feasible(self, instance: TreeInstance, slack: float = 1e-9) -> bool:
+    def is_feasible(self, instance: TreeInstance, slack: float = BUDGET_SLACK) -> bool:
         """Budget respected and no attack on a node that survives surely."""
         if any(instance.survival_prob[i] >= 1.0 for i in self.attacked):
             return False

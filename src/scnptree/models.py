@@ -11,15 +11,20 @@ Two exact models over binary attack flags v_i:
   the number of attacked nodes on a path matters; selector variables pick
   that count per pair.
 
-Both attach the budget row and fix v_i = 0 where p_i = 1; the chain model
-optionally adds leaf dominance rows.
+Both share one attack block (``_add_attack_block``) that states what the
+budget implies about binary v: upper bound 0 on every node with p_i = 1
+or a cost above the budget, the budget rounded down to the gcd grid of
+the attackable costs when they are all integers, and a row capping the
+number of attacks at ``max_attacks``.  The chain model optionally adds
+leaf dominance rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from scnptree.instance import AttackVector, PathTable, TreeInstance
+from scnptree.instance import BUDGET_SLACK, AttackVector, PathTable, TreeInstance
 from scnptree.milpcore import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearModel
 
 
@@ -71,25 +76,58 @@ def valid_inequalities(instance: TreeInstance) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def attackable_nodes(instance: TreeInstance) -> tuple[int, ...]:
+    """Nodes some feasible attack may hit: p < 1 and affordable alone."""
+    limit = instance.budget + BUDGET_SLACK
+    return tuple(
+        i
+        for i, (p, cost) in enumerate(zip(instance.survival_prob, instance.attack_cost))
+        if p < 1.0 and cost <= limit
+    )
+
+
+def max_attacks(instance: TreeInstance) -> int:
+    """Most nodes a feasible attack can hit: how many of the cheapest
+    attackable nodes, taken in ascending cost, fit in the budget."""
+    limit = instance.budget + BUDGET_SLACK
+    costs = sorted(instance.attack_cost[i] for i in attackable_nodes(instance))
+    spent = 0.0
+    for k, cost in enumerate(costs):
+        spent += cost
+        if spent > limit:
+            return k
+    return len(costs)
+
+
 def _add_attack_block(
     model: LinearModel,
     instance: TreeInstance,
     add_valid_ineq: bool,
 ) -> tuple[int, ...]:
-    n = instance.node_count
+    """Binary attack columns plus every row the budget implies about them.
+
+    A binary v meets the block exactly when ``AttackVector(v).is_feasible``
+    holds; the extra bounds and rows only tighten the LP relaxation.
+    Nodes no feasible attack can hit get upper bound 0.  When the
+    attackable costs are integers with gcd g, the budget row's right-hand
+    side rounds down to g*floor((K + BUDGET_SLACK)/g) (Chvatal-Gomory
+    rounding), and the ``count`` row caps the number of attacks at
+    ``max_attacks`` when the budget cannot buy every attackable node.
+    """
+    attackable = attackable_nodes(instance)
     attack = tuple(
-        model.add_variable(f"v{i}", lower=0.0, upper=1.0, integer=True) for i in range(n)
+        model.add_variable(f"v{i}", lower=0.0, upper=float(i in attackable), integer=True)
+        for i in range(instance.node_count)
     )
-    model.add_row(
-        "budget",
-        list(attack),
-        list(instance.attack_cost),
-        LESS_EQUAL,
-        instance.budget,
-    )
-    for i in range(n):
-        if instance.survival_prob[i] >= 1.0:
-            model.add_row(f"fix{i}", [attack[i]], [1.0], EQUAL, 0.0)
+    budget = instance.budget
+    costs = [instance.attack_cost[i] for i in attackable]
+    if costs and all(c.is_integer() for c in costs):
+        g = math.gcd(*(int(c) for c in costs))
+        budget = g * math.floor((budget + BUDGET_SLACK) / g)
+    model.add_row("budget", list(attack), list(instance.attack_cost), LESS_EQUAL, budget)
+    k = max_attacks(instance)
+    if k < len(attackable):
+        model.add_row("count", list(attack), [1.0] * len(attack), LESS_EQUAL, float(k))
     if add_valid_ineq:
         for i, j in valid_inequalities(instance):
             model.add_row(f"dom_{i}_{j}", [attack[i], attack[j]], [1.0, -1.0], LESS_EQUAL, 0.0)
@@ -152,7 +190,8 @@ def build_ilp_p(
     A pair that loses exactly t of its path nodes survives with probability
     p**t, so binary selectors y_t per pair pick the attacked count and the
     objective reads the corresponding power of p.  The count is capped by
-    the path length and by how many attacks the budget can ever buy.
+    the path length and by ``max_attacks``, the most attacks the budget
+    can buy.
     """
     probs = set(instance.survival_prob)
     if len(probs) > 1:
@@ -160,7 +199,7 @@ def build_ilp_p(
             f"survival probabilities must all match; found {len(probs)} distinct values"
         )
     p = instance.survival_prob[0]
-    max_attacks = int(instance.budget / min(instance.attack_cost) + 1e-9)
+    most = max_attacks(instance)
 
     model = LinearModel("uniform_p")
     attack = _add_attack_block(model, instance, add_valid_ineq=False)
@@ -168,7 +207,7 @@ def build_ilp_p(
     for i, j in paths.pairs():
         path = paths.path(i, j)
         cost = instance.pair_cost(i, j)
-        cap = min(max_attacks, len(path))
+        cap = min(most, len(path))
         y_cols = tuple(
             model.add_variable(
                 f"y_{i}_{j}_{t}",

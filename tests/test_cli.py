@@ -467,6 +467,25 @@ def test_reduce_names_a_payload_field_of_the_wrong_type(tmp_path, capsys, kind, 
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        ("cedp", {"instance": NESTED, "edge_p": [[0, 1, 0.3]]},
+         "payload.json: missing field 'edge_kappa'"),
+        ("cedp", {"edge_p": [[0, 1, 0.3]], "edge_kappa": [[0, 1, 1]]},
+         "payload.json: missing field 'instance'"),
+    ],
+)
+def test_reduce_names_a_missing_payload_field(tmp_path, capsys, kind, payload, message):
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(
+        capsys, "reduce", "--kind", kind, str(src), "--out", str(tmp_path / "o.json")
+    )
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
 def test_reduce_edge_uncertainty(tmp_path, capsys):
     payload = {
         "instance": {

@@ -11,9 +11,10 @@ import oracles
 from scnptree import generate_instance, make_instance
 from scnptree.evaluator import objective_tree
 from scnptree.instance import AttackVector, build_path_table
-from scnptree.milpcore import STATUS_OPTIMAL, solve_lp, solve_milp
+from scnptree.milpcore import STATUS_OPTIMAL, LinearModel, solve_lp, solve_milp
 from scnptree.models import (
     UnequalProbabilities,
+    _add_attack_block,
     attack_from_solution,
     build_chain_milp,
     build_ilp_p,
@@ -64,14 +65,18 @@ def test_chain_milp_survival_levels_match_formula():
 
 
 def test_chain_milp_size_and_root_lp_are_pinned():
-    # One survival column per (start node, node): 75 columns and 122 rows
+    # One survival column per (start node, node): 75 columns and 123 rows
     # here, where survival-plus-removal columns needed 140 x 243 and one
-    # chain per pair 360 x 611 for the same root LP.
+    # chain per pair 360 x 611.  The attack block's rounded budget and
+    # count row lift the root LP from 53.947526, never below it.
     inst = generate_instance(10, "type1", 33)
     model, _ = build_chain_milp(inst, build_path_table(inst))
-    assert (model.num_variables, model.num_rows) == (75, 122)
-    assert solve_lp(model).objective == pytest.approx(53.947526, abs=1e-7)
+    assert (model.num_variables, model.num_rows) == (75, 123)
+    root = solve_lp(model).objective
+    assert root == pytest.approx(60.524376, abs=1e-7)
+    assert root >= 53.947526 - 1e-9
     _, expected = oracles.brute_force_optimum(inst)
+    assert expected == pytest.approx(77.9336, abs=1e-7)
     assert solve_milp(model, gap=0.0).objective == pytest.approx(expected, abs=1e-7)
 
 
@@ -126,19 +131,26 @@ def test_chain_lp_at_fixed_binary_attacks_is_the_objective(shape, probs):
 
 
 @pytest.mark.parametrize(
-    ("n", "scheme", "root_lp"), [(21, "unit", 97.0667278), (30, "type1", 359.4785543)]
+    ("n", "scheme", "floor", "root_lp"),
+    [
+        pytest.param(21, "unit", 97.0667278, 99.8521923, id="21-unit-97.0667278"),
+        pytest.param(30, "type1", 359.4785543, 361.0869195, id="30-type1-359.4785543"),
+    ],
 )
-def test_chain_root_lp_with_dominance_rows_is_pinned(n, scheme, root_lp):
-    # Values of the survival-plus-removal model this one replaced.
+def test_chain_root_lp_with_dominance_rows_is_pinned(n, scheme, floor, root_lp):
+    # The floor is the root LP before the attack block rounded the budget
+    # and capped the attack count; a tighter block may only raise it.
     inst = generate_instance(n, scheme, 1)
     model, _ = build_chain_milp(inst, build_path_table(inst), add_valid_ineq=True)
-    assert solve_lp(model).objective == pytest.approx(root_lp, abs=1e-6)
+    root = solve_lp(model).objective
+    assert root == pytest.approx(root_lp, abs=1e-6)
+    assert root >= floor - 1e-9
 
 
 def test_certain_nodes_are_fixed_to_zero():
     # a reward of 1 on attacking the p = 1 node tempts the search: only
-    # the fix row keeps v_0 at 0 (ilp-p needs equal p, so its twin has
-    # p = 1 everywhere)
+    # the column's upper bound of 0 keeps v_0 at 0 (ilp-p needs equal p,
+    # so its twin has p = 1 everywhere)
     for builder, probs in ((build_chain_milp, [1.0, 0.5, 0.3]), (build_ilp_p, [1.0] * 3)):
         inst = make_instance(3, [(0, 1), (1, 2)], probs, [1.0] * 3, None, 3.0)
         for backend in ("highs", "simplex"):
@@ -147,6 +159,89 @@ def test_certain_nodes_are_fixed_to_zero():
             res = solve_milp(model, gap=0.0, backend=backend)
             assert res.status == STATUS_OPTIMAL
             assert res.x[index.attack[0]] == pytest.approx(0.0, abs=1e-9)
+
+
+def _assert_attack_block_is_exact(inst):
+    # a model holding only the attack block accepts a binary v exactly
+    # when the attack is feasible
+    model = LinearModel("attack_block")
+    _add_attack_block(model, inst, add_valid_ineq=False)
+    for flags in itertools.product((0, 1), repeat=inst.node_count):
+        expected = AttackVector(flags).is_feasible(inst)
+        assert model.is_feasible(np.array(flags, dtype=float)) == expected, (inst, flags)
+
+
+def _reweighted(inst, survival_prob, budget):
+    return make_instance(
+        inst.node_count,
+        inst.edges,
+        survival_prob,
+        inst.attack_cost,
+        inst.connection_cost,
+        budget,
+    )
+
+
+@pytest.mark.parametrize("scheme", ["unit", "type1", "type2", "type3"])
+def test_attack_block_is_exact_on_seeded_instances(scheme):
+    # 80 trees per scheme, n 1-8; some nodes get p = 0 or p = 1, and the
+    # budget is the generator's, 0, on the integer grid, off it, and a
+    # random cost sum exactly and 1e-10 either side
+    rng = np.random.default_rng(37)
+    for n in range(1, 9):
+        for seed in range(10):
+            base = generate_instance(n, scheme, seed)
+            probs = [
+                float(rng.choice([0.0, 1.0])) if rng.random() < 0.3 else p
+                for p in base.survival_prob
+            ]
+            total = sum(base.attack_cost)
+            chosen = rng.random(n) < 0.5
+            edge = sum(c for c, pick in zip(base.attack_cost, chosen) if pick)
+            for budget in (
+                base.budget,
+                0.0,
+                float(rng.integers(0, math.ceil(total) + 1)),
+                float(rng.uniform(0.0, total)),
+                edge,
+                edge + 1e-10,
+                max(0.0, edge - 1e-10),
+            ):
+                _assert_attack_block_is_exact(_reweighted(base, probs, budget))
+
+
+@pytest.mark.parametrize(
+    "kappa, probs, budgets",
+    [
+        # gcd 2 among attackable nodes; the p = 1 node's odd cost is ignored
+        ([2.0, 4.0, 6.0, 3.0], [0.5, 0.0, 0.5, 1.0], [0.0, 1.9, 2.0, 3.0, 5.9, 6.0, 7.0, 12.0, 50.0]),
+        # one node above every budget but the last
+        ([5.0, 1.0, 1.0, 1.0], [0.2, 0.4, 0.6, 0.8], [0.0, 1.0, 2.5, 3.0, 4.0, 5.0 - 1e-10, 8.0]),
+        # fractional costs: no rounding, only bars and the count row
+        ([0.3, 0.3, 0.4, 0.25], [0.1, 0.2, 0.3, 0.4], [0.25, 0.55, 0.6, 0.6 - 1e-10, 0.6 + 1e-10, 1.0, 1.25]),
+        # mixed integer and fractional costs
+        ([1.0, 2.0, 1.5, 3.0], [0.5] * 4, [1.0, 1.5, 2.5, 3.5, 4.5 - 1e-10, 4.5 + 1e-10]),
+        # every node survives surely, or none survives
+        ([1.0] * 4, [1.0] * 4, [0.0, 4.0]),
+        ([1.0] * 4, [0.0] * 4, [0.0, 0.7, 1.0, 2.0 - 1e-10, 2.0 + 1e-10, 4.0]),
+    ],
+)
+def test_attack_block_is_exact_on_hand_made_cases(kappa, probs, budgets):
+    for budget in budgets:
+        inst = make_instance(4, [(0, 1), (0, 2), (0, 3)], probs, kappa, None, budget)
+        _assert_attack_block_is_exact(inst)
+
+
+def test_unaffordable_unit_attacks_close_at_the_root():
+    # K = 0.7 buys no unit attack: every attack column is barred, so the
+    # root LP is already integral
+    for seed in range(5):
+        inst = generate_instance(7, "unit", seed)
+        model, _ = build_chain_milp(inst, build_path_table(inst))
+        res = solve_milp(model, gap=0.0)
+        assert res.status == STATUS_OPTIMAL
+        assert res.nodes == 1
+        assert res.objective == pytest.approx(inst.total_connection_cost(), abs=1e-9)
 
 
 def test_valid_inequalities_selects_dominated_leaves():
