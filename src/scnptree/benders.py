@@ -307,7 +307,7 @@ def bd_scnp(
             status = STATUS_TIME_LIMIT
             break
         lower = max(lower, min(res.bound, res.objective))
-        flags = attack_from_solution(attack_cols, res.x)
+        flags = attack_from_solution(instance, attack_cols, res.x)
         values = pair_values(instance, paths, flags)
         candidate = math.fsum(values)
         if candidate < upper - 1e-12:

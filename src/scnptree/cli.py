@@ -49,6 +49,7 @@ from scnptree.evaluator import (
     objective_tree,
 )
 from scnptree.instance import (
+    BUDGET_SLACK,
     AttackVector,
     InstanceError,
     ParseError,
@@ -120,11 +121,11 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
         else:
             model, index = models.build_ilp_p(instance, paths)
         res = solve_milp(model, gap=eps, time_limit=time_limit, backend=backend)
-        attack = models.attack_from_solution(index.attack, res.x) if res.x is not None else None
+        attack = models.attack_from_solution(instance, index.attack, res.x) if res.x is not None else None
         value, bound, status = res.objective, res.bound, res.status
         record["iterations"] = res.nodes
     elif method == "dp":
-        max_attacks = int(instance.budget + 1e-9)
+        max_attacks = int(instance.budget + BUDGET_SLACK)
         result = dp_mod.dp_solve(instance, max_attacks, params.get("nu", 4))
         attack, value, bound = result.attack, result.exact_value, result.truncated_value
         status = STATUS_OPTIMAL

@@ -10,11 +10,24 @@ n(n-1)/(2 mu).
 
 A table is a set of parallel arrays sorted by (attacks, flag, c): attacks,
 flag, c, value, and the child row and rest row each state was merged from
-(-1 in a node's base table).  A merge forms every budget-feasible (rest row,
-child row) pair at once and keeps the least value per (attacks, flag, c); a
-tie goes to the first pair in the order rest key, child row, rest row.
-Within an (attacks, flag) group a state survives only if its value is
-strictly below that of every smaller-c state.
+(-1 in a node's base table).  A merge pairs child rows, taken by attacks
+descending, with rest rows; rest rows are sorted by attacks, so the rows a
+child row's budget leaves are a prefix, and ``searchsorted`` plus
+``repeat`` form every feasible pair in O(pairs).  It keeps the least value
+per (attacks, flag, c); a tie goes to the first pair formed, in the order
+rest key, child row, rest row, which a stable sort puts first in its run.
+
+Two rules drop states that cannot lie on a minimum-value chain.  Within an
+(attacks, flag) group a state survives only if its value is strictly below
+that of every smaller-c state.  And a state whose root is unattacked
+(flag 0) survives only if no state with the same attacks and an attacked
+root (flag 1) has c' <= c and value' < value.  Every term of a merge is
+nondecreasing in the node's and the child's survival numerators, in both c
+and in both values, and an attacked root's numerator p*den is at most the
+unattacked one, den; so each merge the flag-0 state takes part in, the
+flag-1 state takes part in too and stays strictly ahead.  Both rules need a
+strictly lower value, so equal values, and with them the tie rule, are
+never decided by a dropped state.
 
 All arithmetic is integer: probabilities are expressed over one common
 denominator (100 when every probability has two decimals, otherwise the
@@ -101,9 +114,12 @@ def _scaled_probabilities(instance: TreeInstance) -> tuple[list[int], int]:
 def _int_dtype(n: int, mu: int, den: int) -> type:
     """``np.int64`` when no DP intermediate can overflow it, else ``object``.
 
-    With numerators at most ``den``, c < mu*n, values < mu*n*n and at most
-    n attacks per table, the largest intermediates are mu*den*den, den*mu*n
-    and the sort composite, below 2(n+1)*mu**2*n**3 (as is (mu*n)**2).
+    With numerators at most ``den``, c <= mu*(n-1), values <= mu*n*(n-1)/2
+    and at most n attacks per table, the largest intermediates are
+    mu*den*den, den*mu*n, c*c < (mu*n)**2 and the sort key
+    ((attacks*(max c + 1) + c)*2 + 1 - flag)*(max value + 2) + value.  Its
+    first factor is below 2*mu*n*(n+1), the second at most mu*n*n (mu >= 10),
+    and adding the value keeps the key below 2*(n+1)*mu**2*n**3.
     """
     bound = max(mu * den * den, den * mu * n, 2 * (n + 1) * mu**2 * n**3)
     return np.int64 if bound < 2**62 else object
@@ -132,37 +148,46 @@ def _merge(
     the child.
     """
     q_node, q_child = q
-    # Pairs are formed child row major with child rows by attacks descending;
-    # within one (attacks, flag) that is the order rest key, child row, rest
-    # row; among equal values the sort below keeps the first pair formed.
-    by_attacks_down = np.lexsort((child.c, child.flag, -child.attacks))
-    feasible = child.attacks[by_attacks_down, None] + rest.attacks[None, :] <= budget
-    ranks, rest_row = np.nonzero(feasible)
-    child_row = by_attacks_down[ranks]
+    # Child rows by attacks descending, table order within; each pairs with
+    # the prefix of rest rows its budget leaves, in rest row order.
+    down = np.argsort(-child.attacks, kind="stable")
+    counts = np.searchsorted(rest.attacks, budget - child.attacks[down], side="right")
+    ends = np.cumsum(counts)
+    rest_row = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    child_row = np.repeat(down, counts)
+    attacks, qc, c_child, value = (
+        np.repeat(column[down], counts)
+        for column in (child.attacks, q_child[child.flag], child.c, child.value)
+    )
+    attacks += rest.attacks[rest_row]
     flag = rest.flag[rest_row]
-    cell = 2 * (rest.attacks[rest_row] + child.attacks[child_row]) + flag
     qn = q_node[flag]
-    qc = q_child[child.flag[child_row]]
     c_rest = rest.c[rest_row]
-    c_child = child.c[child_row]
     t3 = qn * c_child // den
     direct = mu * qn * qc // (den * den)
     c = c_rest + direct + t3
-    value = rest.value[rest_row] + child.value[child_row] + direct
+    value += rest.value[rest_row] + direct
     value += qc * c_rest // den + t3 + c_child * c_rest // mu
-    # One integer orders rows by (attacks, flag, c, value); each run of
-    # equal ones keeps its least row.  A row survives if its value is
-    # strictly below every earlier value of its (attacks, flag) cell:
-    # shifting each cell down by cell * span puts it wholly below the cells
-    # before it, so one running minimum restarts at every cell.
-    span = value.max() + 1
-    composite = (cell.astype(c.dtype) * (c.max() + 1) + c) * span + value
-    order = np.argsort(composite)
-    order = np.minimum.reduceat(order, np.flatnonzero(np.diff(composite[order], prepend=-1)))
-    shifted = value[order] - cell[order].astype(c.dtype) * span
-    order = order[np.r_[True, shifted[1:] < np.minimum.accumulate(shifted)[:-1]]]
-    columns = (cell // 2, flag, c, value, child_row, rest_row)
-    return _Table(*(column[order] for column in columns)), len(rest_row)
+    # One integer orders rows by (attacks, c, flag 1 first, value); the
+    # stable sort keeps the first pair formed at the head of each run of
+    # equal ones, and the running minimums below drop the rest of the run.
+    span = value.max() + 2
+    order = np.argsort(((attacks * (c.max() + 1) + c) * 2 + 1 - flag) * span + value, kind="stable")
+    # Shifting each attack count down by attacks * span puts it wholly
+    # below the counts before it, so running minimums restart at each one.
+    # A flag-1 row must beat every earlier flag-1 value; a flag-0 row every
+    # earlier flag-0 value and every earlier flag-1 value plus 1.
+    shifted = value[order] - attacks[order] * span
+    attacked = flag[order]
+    best_attacked = np.minimum.accumulate(np.where(attacked, shifted, span))
+    best_any = np.minimum.accumulate(shifted + attacked)
+    keep = np.ones(len(order), bool)
+    np.less(shifted[1:], np.where(attacked[1:], best_attacked[:-1], best_any[:-1]), out=keep[1:])
+    kept = order[keep]
+    # back to (attacks, flag, c) order: c already ascends within each cell
+    kept = kept[np.argsort(2 * attacks[kept] + flag[kept], kind="stable")]
+    columns = (attacks, flag, c, value, child_row, rest_row)
+    return _Table(*(column[kept] for column in columns)), len(rest_row)
 
 
 def dp_solve(

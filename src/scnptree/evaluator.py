@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from scnptree.instance import AttackVector, PathTable, TreeInstance, build_path_table
+from scnptree.instance import BUDGET_SLACK, AttackVector, PathTable, TreeInstance, build_path_table
 
 
 class TooManyAttackedNodes(ValueError):
@@ -33,23 +33,48 @@ def pair_survival(instance: TreeInstance, paths: PathTable, flag_rows: np.ndarra
     over x and its k - 1 nearest ancestors, flattened to k * n + x; each
     pair multiplies its two ``paths.slots``.  No division: p = 0 stays exact.
     """
-    n = instance.node_count
+    rows = _flag_rows(instance, flag_rows)
+    return _survival_into(instance, paths, rows, np.empty(_floats_per_row(instance, paths) * len(rows))).T
+
+
+def _flag_rows(instance: TreeInstance, flag_rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(flag_rows)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"expected shape (batch, {n})")
+    if rows.ndim != 2 or rows.shape[1] != instance.node_count:
+        raise ValueError(f"expected shape (batch, {instance.node_count})")
+    return rows
+
+
+def _floats_per_row(instance: TreeInstance, paths: PathTable) -> int:
+    """Scratch ``_survival_into`` needs per row: the upward table and two
+    pair-product blocks."""
+    return paths.levels * instance.node_count + 2 * paths.slots.shape[1]
+
+
+def _survival_into(instance: TreeInstance, paths: PathTable, rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``pair_survival``'s kernel on a flat ``scratch`` of at least
+    ``_floats_per_row * len(rows)`` floats; returns the products, pairs by
+    batch, as a view into it.  ``mode="clip"`` lets ``np.take`` write
+    straight into ``out`` (the default ``mode="raise"`` buffers it); every
+    index is in range."""
+    n, batch, pairs = instance.node_count, len(rows), paths.slots.shape[1]
+    cut = paths.levels * n * batch
     # Batch last: every gather below copies contiguous rows of the batch.
-    upward = np.empty((paths.levels, n, rows.shape[0]))
+    upward = scratch[:cut].reshape(paths.levels, n, batch)
+    first, second = (
+        scratch[cut + k * pairs * batch : cut + (k + 1) * pairs * batch].reshape(pairs, batch) for k in (0, 1)
+    )
     upward[0] = 1.0
     factors = upward[1]
     np.multiply(rows.T, np.subtract(instance.survival_prob, 1.0)[:, None], out=factors)
     factors += 1.0
     for k in range(2, paths.levels):
-        np.take(upward[k - 1], paths.parent, axis=0, out=upward[k])
+        np.take(upward[k - 1], paths.parent, axis=0, out=upward[k], mode="clip")
         upward[k] *= factors
-    flat = upward.reshape(paths.levels * n, rows.shape[0])
-    products = flat[paths.slots[0]]
-    products *= flat[paths.slots[1]]
-    return products.T
+    flat = upward.reshape(paths.levels * n, batch)
+    np.take(flat, paths.slots[0], axis=0, out=first, mode="clip")
+    np.take(flat, paths.slots[1], axis=0, out=second, mode="clip")
+    first *= second
+    return first
 
 
 def pair_costs(instance: TreeInstance, paths: PathTable) -> np.ndarray:
@@ -150,7 +175,7 @@ def feasible_attack_vectors(instance: TreeInstance) -> Iterator[tuple[int, ...]]
     if len(attackable) > 20:
         raise InstanceTooLarge(f"{len(attackable)} attackable nodes; exhaustive limit is 20")
     kappa = instance.attack_cost
-    budget_slack = instance.budget + 1e-9
+    budget_slack = instance.budget + BUDGET_SLACK
     flags = [0] * n
 
     def recurse(position: int, spent: float) -> Iterator[tuple[int, ...]]:
@@ -171,12 +196,22 @@ def feasible_attack_vectors(instance: TreeInstance) -> Iterator[tuple[int, ...]]
 def batch_objective(instance: TreeInstance, paths: PathTable, flag_rows: np.ndarray) -> np.ndarray:
     """Objective of many attack vectors at once: cost-weighted row sums of
     ``pair_survival``, fed chunks of about 2^18 pair products so that its
-    tables stay in cache (every row is 0 when n = 1, which has no pairs)."""
-    rows = np.asarray(flag_rows)
+    tables stay in cache (every row is 0 when n = 1, which has no pairs).
+
+    One scratch allocation per call, sized for the largest chunk, holds the
+    upward table and both product blocks for every chunk.  Fresh
+    temporaries per chunk, or several buffers per call, let glibc's
+    dynamic mmap and trim thresholds map, fault and unmap megabytes on
+    call after call."""
+    rows = _flag_rows(instance, flag_rows)
     costs = pair_costs(instance, paths)
     step = max(1, (1 << 18) // max(1, len(costs)))
-    chunks = range(0, max(1, len(rows)), step)
-    return np.concatenate([pair_survival(instance, paths, rows[i : i + step]) @ costs for i in chunks])
+    scratch = np.empty(_floats_per_row(instance, paths) * min(step, len(rows)))
+    values = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        values[start : start + len(chunk)] = _survival_into(instance, paths, chunk, scratch).T @ costs
+    return values
 
 
 def exhaustive_solve(instance: TreeInstance) -> tuple[AttackVector, float]:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from scnptree.instance import BUDGET_SLACK, AttackVector, PathTable, TreeInstance
-from scnptree.milpcore import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearModel
+from scnptree.milpcore import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearModel, NumericalFailure
 
 
 class UnequalProbabilities(ValueError):
@@ -230,10 +230,21 @@ def build_ilp_p(
     return model, SelectorIndex(attack, selector)
 
 
-def attack_from_solution(attack_cols: tuple[int, ...], x) -> AttackVector:
-    """Round the attack columns of a solver point into an attack vector."""
-    flags = tuple(1 if round(float(x[c])) >= 1 else 0 for c in attack_cols)
-    return AttackVector(flags)
+def attack_from_solution(instance: TreeInstance, attack_cols: tuple[int, ...], x) -> AttackVector:
+    """Round the attack columns of a solver point into an attack vector.
+
+    Raises ``NumericalFailure`` when the attack is not feasible: solvers
+    accept a budget row within their tolerance (1e-7), wider than the
+    slack ``AttackVector.is_feasible`` allows, so with fractional costs a
+    point just over the budget can pass as optimal.
+    """
+    attack = AttackVector(tuple(1 if round(float(x[c])) >= 1 else 0 for c in attack_cols))
+    if not attack.is_feasible(instance):
+        raise NumericalFailure(
+            f"solver point attacks {list(attack.attacked)} at cost {attack.total_cost(instance)!r},"
+            f" over the budget {instance.budget!r} or on a sure survivor"
+        )
+    return attack
 
 
 def model_size(model: LinearModel) -> dict[str, int]:

@@ -10,6 +10,7 @@ import oracles
 from scnptree.cli import solve_instance
 from scnptree.evaluator import objective_tree
 from scnptree.instance import AttackVector, build_path_table, make_instance
+from scnptree.milpcore import NumericalFailure
 
 
 @st.composite
@@ -55,3 +56,23 @@ def test_exact_methods_on_degenerate_trees(inst, backend):
         assert objective_tree(inst, paths, attack) == pytest.approx(record["value"], abs=1e-9)
         assert record["value"] == pytest.approx(optimum, abs=1e-5), method
         assert record["bound"] <= optimum + 1e-9, method
+
+
+# kappa = 0.50000005 puts the attack {1, 2} 5e-8 over the budget: inside
+# the solvers' 1e-7 row tolerance, outside AttackVector.is_feasible's 1e-9
+OVER_BUDGET_PATH = make_instance(
+    4, [(0, 1), (1, 2), (2, 3)], [0.9, 0.1, 0.1, 0.9], [0.2, 0.5, 0.50000005, 0.2], None, 1.0
+)
+
+
+@pytest.mark.parametrize("backend", ("highs", "simplex"))
+@pytest.mark.parametrize("method", ("milp", "benders"))
+def test_a_solver_point_over_the_budget_raises(method, backend):
+    with pytest.raises(NumericalFailure):
+        solve_instance(OVER_BUDGET_PATH, method, {"eps": 1e-9, "backend": backend})
+
+
+def test_the_over_budget_path_has_a_feasible_optimum():
+    record = solve_instance(OVER_BUDGET_PATH, "exhaustive", {})
+    assert record["attack"] == [0, 2, 3]
+    assert record["value"] == pytest.approx(1.351, abs=1e-9)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from scnptree import dp_solve, generate_instance, make_instance
+from scnptree import dp, dp_solve, generate_instance, make_instance
 from scnptree.dp import (
     STATE_CAP,
     NonUnitCosts,
@@ -111,22 +111,63 @@ def test_degenerate_trees_keep_the_sandwich(case):
             assert objective_tree(inst, table, res.attack) == pytest.approx(res.exact_value, abs=1e-9)
 
 
+# (states, transitions) of the DP before attacked roots dropped the
+# unattacked-root states they beat, by generator seed
+PINNED_CEILINGS = {801: (4232, 13215), 1203: (17502, 62675), 270: (166, 238)}
+
+
 @pytest.mark.parametrize(
     "n, seed, k, nu, root, value, attacked, states, transitions",
     [
-        (80, 801, 8, 4, 0, 264.7855, [28, 29, 53, 55, 67, 68, 77, 78], 4232, 13215),
-        (120, 1203, 12, 3, 0, 617.657, [7, 10, 30, 43, 50, 52, 59, 71, 73, 84, 103, 118], 17502, 62675),
+        (80, 801, 8, 4, 0, 264.7855, [28, 29, 53, 55, 67, 68, 77, 78], 3164, 8183),
+        (120, 1203, 12, 3, 0, 617.657, [7, 10, 30, 43, 50, 52, 59, 71, 73, 84, 103, 118], 11945, 40093),
         # two attack sets reach the same value here; only the tie rule picks
-        (17, 270, 3, 2, 14, 55.19, [1, 7, 12], 166, 238),
+        (17, 270, 3, 2, 14, 55.19, [1, 7, 12], 159, 225),
     ],
 )
 def test_pinned_generator_instances(n, seed, k, nu, root, value, attacked, states, transitions):
-    # recorded from the dict-based DP that preceded the array tables: the
-    # same states are explored and ties between equal values break the same way
+    # values and attacks recorded from the dict-based DP that preceded the
+    # array tables: ties between equal values break the same way
     res = dp_solve(generate_instance(n, "unit", seed), max_attacks=k, nu=nu, root=root)
     assert res.truncated_value == value
     assert res.attack == AttackVector.from_nodes(attacked, n)
     assert (res.state_count, res.transition_count) == (states, transitions)
+    state_ceiling, transition_ceiling = PINNED_CEILINGS[seed]
+    assert res.state_count <= state_ceiling and res.transition_count <= transition_ceiling
+
+
+def test_level_tables_are_sorted_and_undominated(monkeypatch):
+    tables = []
+    merge = dp._merge
+
+    def recording(*args):
+        table, pairs = merge(*args)
+        tables.append(table)
+        return table, pairs
+
+    monkeypatch.setattr(dp, "_merge", recording)
+    rng = np.random.default_rng(82)
+    for trial in range(40):
+        n = int(rng.integers(2, 16))
+        k = int(rng.integers(0, n + 2))
+        p = [round(float(rng.uniform()), 2) for _ in range(n)]
+        for node in rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False):
+            p[node] = float(rng.integers(0, 2))  # sure survivors and sure losses
+        if trial % 5 == 0:
+            p[0] = 1 / 3  # object arrays
+        edges = oracles.random_tree_instance(rng, n).edges
+        inst = make_instance(n, list(edges), p, [1.0] * n, None, float(k))
+        dp_solve(inst, max_attacks=k, nu=int(rng.integers(1, 4)), root=int(rng.integers(0, n)))
+    assert len(tables) > 200
+    for table in tables:
+        attacks, flag, c, value = (np.array(column.tolist()) for column in table[:4])
+        keys = list(zip(attacks.tolist(), flag.tolist(), c.tolist()))
+        assert keys == sorted(set(keys))
+        same_cell = (attacks[1:] == attacks[:-1]) & (flag[1:] == flag[:-1])
+        assert (value[1:][same_cell] < value[:-1][same_cell]).all()
+        for row in np.flatnonzero(flag == 0):
+            beats = (attacks == attacks[row]) & (flag == 1) & (c <= c[row]) & (value < value[row])
+            assert not beats.any()
 
 
 @pytest.mark.parametrize("root, attacked", [(0, [0, 10, 11]), (11, [0, 9, 10])])

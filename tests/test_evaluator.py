@@ -130,6 +130,26 @@ def test_batch_objective_matches_single_route(case):
         assert math.fsum(per_pair) == pytest.approx(expected, abs=1e-9)
 
 
+def test_single_routes_after_a_chunked_batch():
+    # 7140 pairs at n = 120 give chunks of 36 rows, so 100 rows reuse one
+    # scratch buffer three times; no result handed out may share it
+    rng = np.random.default_rng(9)
+    inst = oracles.random_tree_instance(rng, 120, "weighted")
+    paths = build_path_table(inst)
+    rows = (rng.uniform(size=(100, 120)) < 0.2).astype(int)
+    attacks = [AttackVector(tuple(row.tolist())) for row in rows]
+    before = pair_values(inst, paths, attacks[0])
+    values = batch_objective(inst, paths, rows)
+    for index in (0, 35, 36, 99):
+        expected = oracles.expected_pair_connectivity(inst, attacks[index].flags)
+        assert values[index] == pytest.approx(expected, abs=1e-9)
+        assert objective_tree(inst, paths, attacks[index]) == pytest.approx(expected, abs=1e-9)
+        assert math.fsum(pair_values(inst, paths, attacks[index])) == pytest.approx(expected, abs=1e-9)
+    batch_objective(inst, paths, 1 - rows)
+    expected = oracles.expected_pair_connectivity(inst, attacks[0].flags)
+    assert math.fsum(before) == pytest.approx(expected, abs=1e-9)
+
+
 def test_feasible_attack_vectors_lexicographic_and_complete():
     inst = make_instance(3, [(0, 1), (1, 2)], [0.5, 1.0, 0.5], [1.0, 1.0, 1.0], None, 2.0)
     vectors = list(feasible_attack_vectors(inst))

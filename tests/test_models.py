@@ -47,7 +47,7 @@ def test_chain_milp_matches_brute_force(vi):
         _, expected = oracles.brute_force_optimum(inst)
         assert res.status == STATUS_OPTIMAL
         assert res.objective == pytest.approx(expected, abs=1e-7)
-        attack = attack_from_solution(index.attack, res.x)
+        attack = attack_from_solution(inst, index.attack, res.x)
         assert attack.is_feasible(inst)
 
 
@@ -57,7 +57,7 @@ def test_chain_milp_survival_levels_match_formula():
     paths = build_path_table(inst)
     model, index = build_chain_milp(inst, paths)
     res = solve_milp(model, gap=0.0)
-    attack = attack_from_solution(index.attack, res.x)
+    attack = attack_from_solution(inst, index.attack, res.x)
     for pair in paths.pairs():
         level = chain_survival_value(index, pair, res.x)
         expected = oracles.pair_slave_value(inst, paths.path(*pair), attack.flags)
@@ -288,7 +288,7 @@ def test_selector_formulation_matches_brute_force(p):
         flags, expected = oracles.brute_force_optimum(inst)
         assert res.status == STATUS_OPTIMAL
         assert res.objective == pytest.approx(expected, abs=1e-7)
-        assert attack_from_solution(index.attack, res.x).is_feasible(inst)
+        assert attack_from_solution(inst, index.attack, res.x).is_feasible(inst)
 
 
 def test_selector_formulation_rejects_mixed_probabilities():
