@@ -1,16 +1,12 @@
 """Cut-generation solver: binary master plus closed-form path slaves.
 
 The master chooses attack flags v and one surrogate value z per node pair
-under the shared attack block of ``models``; each pair's slave is an LP
-over the pair's path at fixed v, solved in closed form.  The slave keeps
-the survival-plus-removal form: per path position a survival level and
-the mass an attack removes from it.  ``models.build_chain_milp`` dropped
-the removal columns for lower bounds on the survival level alone; at
-fixed binary v both give the pair cost times the path's survival
-product.  Dual values for every slave are available analytically, so
-optimality cuts cost O(path length) and never touch an LP.  Lower bounds
-come from the master, upper bounds from evaluating the incumbent flags;
-the loop stops when they meet within ``eps``.
+under the shared attack block of ``models``; each pair's slave is the
+chain LP that ``models._chain_rows`` writes for the pair's path, at fixed
+v, solved in closed form.  Dual values for every slave are available
+analytically, so optimality cuts cost O(path length) and never touch an
+LP.  Lower bounds come from the master, upper bounds from evaluating the
+incumbent flags; the loop stops when they meet within ``eps``.
 """
 
 from __future__ import annotations
@@ -43,35 +39,28 @@ class MasterInfeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class SlaveSolution:
-    """Closed-form optimum of one pair's survival-plus-removal slave at
-    fixed attack flags.
+    """Closed-form optimum of one pair's chain slave at fixed attack flags.
 
     ``survival[k]`` is the product of per-node survival factors over the
-    first k+1 path nodes; ``removal[k]`` the mass removed at that step,
-    the column the chain MILP no longer carries.
+    first k+1 path nodes, the slave's survival column at that position.
     """
 
     survival: tuple[float, ...]
-    removal: tuple[float, ...]
     objective: float
 
 
 @dataclass(frozen=True)
 class PathDuals:
-    """Multipliers of one survival-plus-removal slave's rows, aligned with
-    path positions; these rows are not the chain MILP's.
+    """Multipliers of one pair's chain slave rows, aligned with path
+    positions; every row is a >= row, so all are nonnegative.
 
-    ``attack_cap`` prices the rows tying removal to the attack flag (an
-    equality at position 0, an upper cap beyond), ``balance`` the survival
-    bookkeeping equalities, ``survival_cap`` the cap of removal by the
-    incoming survival level, and ``joint_lower`` the lower linearization
-    row; the latter two are zero at position 0 where no predecessor exists.
+    ``drop`` prices the ``sfirst`` row at position 0 and the ``sdrop`` row
+    after it; ``scale`` prices the ``sscale`` row and is 0 at position 0,
+    which has none.
     """
 
-    attack_cap: tuple[float, ...]
-    balance: tuple[float, ...]
-    survival_cap: tuple[float, ...]
-    joint_lower: tuple[float, ...]
+    drop: tuple[float, ...]
+    scale: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -127,16 +116,12 @@ class BendersResult:
 
 def slave_primal(instance: TreeInstance, path: tuple[int, ...], attack: AttackVector) -> SlaveSolution:
     """Optimal chain levels at fixed flags: survival multiplies per node."""
-    cost = instance.pair_cost(path[0], path[-1])
     survival: list[float] = []
-    removal: list[float] = []
     level = 1.0
     for node in path:
-        drop = (1.0 - instance.survival_prob[node]) * attack.flags[node] * level
-        removal.append(drop)
-        level -= drop
+        level -= (1.0 - instance.survival_prob[node]) * attack.flags[node] * level
         survival.append(level)
-    return SlaveSolution(tuple(survival), tuple(removal), cost * level)
+    return SlaveSolution(tuple(survival), instance.pair_cost(path[0], path[-1]) * level)
 
 
 def pair_values(instance: TreeInstance, paths: PathTable, attack: AttackVector) -> np.ndarray:
@@ -151,50 +136,38 @@ def analytic_dual(instance: TreeInstance, path: tuple[int, ...], attack: AttackV
     """Closed-form optimal slave duals at the given flags.
 
     If an attacked node on the path survives with probability zero the pair
-    is certainly cut and every multiplier is zero.  Otherwise the last
-    position is priced by the pair cost and a backward recursion folds each
-    node's survival factor into its predecessor's balance multiplier.
-    Strong duality against slave_primal holds exactly.
+    is certainly cut and every multiplier is zero.  Otherwise one backward
+    pass carries the pair cost from the last position: an unattacked node
+    passes it on unchanged through its ``sdrop`` row, an attacked one takes
+    it on its ``sscale`` row and passes on its survival share p of it, and
+    ``sfirst`` takes what reaches position 0.  Strong duality against
+    slave_primal holds exactly.
     """
-    length = len(path)
     p = instance.survival_prob
     v = attack.flags
+    drop = [0.0] * len(path)
+    scale = [0.0] * len(path)
     if any(v[node] and p[node] == 0.0 for node in path):
-        zeros = (0.0,) * length
-        return PathDuals(zeros, zeros, zeros, zeros)
-
-    cost = instance.pair_cost(path[0], path[-1])
-    attack_cap = [0.0] * length
-    balance = [0.0] * length
-    survival_cap = [0.0] * length
-    joint_lower = [0.0] * length
-
-    last = path[-1]
-    balance[length - 1] = cost
-    attack_cap[length - 1] = cost * (v[last] - 1.0)
-    survival_cap[length - 1] = -cost * v[last]
-    for k in range(length - 2, -1, -1):
-        nxt = path[k + 1]
-        balance[k] = (1.0 - p[nxt]) * (survival_cap[k + 1] + joint_lower[k + 1]) + balance[k + 1]
-        if k == 0:
-            attack_cap[0] = -balance[0]
+        return PathDuals(tuple(drop), tuple(scale))
+    level = instance.pair_cost(path[0], path[-1])
+    for k in range(len(path) - 1, 0, -1):
+        node = path[k]
+        if v[node]:
+            scale[k] = level
+            level -= (1.0 - p[node]) * level
         else:
-            node = path[k]
-            attack_cap[k] = (v[node] - 1.0) * balance[k]
-            survival_cap[k] = -v[node] * balance[k]
-    return PathDuals(tuple(attack_cap), tuple(balance), tuple(survival_cap), tuple(joint_lower))
+            drop[k] = level
+    drop[0] = level
+    return PathDuals(tuple(drop), tuple(scale))
 
 
 def dual_objective(duals: PathDuals, instance: TreeInstance, path: tuple[int, ...], attack: AttackVector) -> float:
     """Value of the slave dual at these multipliers and attack flags."""
     p = instance.survival_prob
     v = attack.flags
-    first = path[0]
-    total = duals.attack_cap[0] * (1.0 - p[first]) * v[first] + duals.balance[0]
-    for k in range(1, len(path)):
-        node = path[k]
-        q = 1.0 - p[node]
-        total += q * (duals.attack_cap[k] * v[node] + duals.joint_lower[k] * (v[node] - 1.0))
+    total = duals.drop[0]
+    for node, drop in zip(path, duals.drop):
+        total -= (1.0 - p[node]) * v[node] * drop
     return total
 
 
@@ -206,50 +179,36 @@ def dual_feasibility_check(
 ) -> bool:
     """Exact row-by-row check of the slave dual constraints.
 
-    Columns of the slave give, per position k: the removal column row sum
-    must not exceed zero, interior survival columns must price out against
-    the next position, the last survival column is capped by the pair cost,
-    and inequality-row multipliers carry their signs.
+    Every multiplier prices a >= row and carries its sign.  The survival
+    columns are nonnegative and only the last one carries the pair cost:
+    an interior column's rows must not outprice the next position's
+    ``drop`` plus p times its ``scale``, and the last column's rows must
+    not outprice the pair cost.
     """
-    length = len(path)
     p = instance.survival_prob
     cost = instance.pair_cost(path[0], path[-1])
-    a, b, s, j = duals.attack_cap, duals.balance, duals.survival_cap, duals.joint_lower
+    drop, scale = duals.drop, duals.scale
 
-    if a[0] + b[0] > tol:
+    if any(y < -tol for y in drop + scale):
         return False
-    for k in range(1, length):
-        if a[k] + s[k] + j[k] + b[k] > tol:
+    for k in range(len(path) - 1):
+        if drop[k] + scale[k] - drop[k + 1] - p[path[k + 1]] * scale[k + 1] > tol:
             return False
-        if a[k] > tol or s[k] > tol or j[k] < -tol:
-            return False
-    for k in range(length - 1):
-        q = 1.0 - p[path[k + 1]]
-        if b[k] - q * (s[k + 1] + j[k + 1]) - b[k + 1] > tol:
-            return False
-    if b[length - 1] > cost + tol:
-        return False
-    return True
+    return drop[-1] + scale[-1] <= cost + tol
 
 
 def cut_from_duals(duals: PathDuals, instance: TreeInstance, path: tuple[int, ...]) -> BendersCut:
     """Affine minorant of the pair's slave value over attack flags.
 
-    Grouping the dual objective by v gives the constant and one coefficient
-    per path node; by weak duality the expression under-estimates the slave
-    value at every feasible v and is tight at the flags that produced the
-    duals.
+    Grouping the dual objective by v gives the constant ``drop[0]`` and
+    the coefficient -(1 - p) * drop for every path node, zeros kept; by
+    weak duality the expression under-estimates the slave value at every
+    feasible v and is tight at the flags that produced the duals.
     """
     p = instance.survival_prob
-    constant = duals.balance[0]
-    coefficients = [(path[0], (1.0 - p[path[0]]) * duals.attack_cap[0])]
-    for k in range(1, len(path)):
-        node = path[k]
-        q = 1.0 - p[node]
-        constant -= q * duals.joint_lower[k]
-        coefficients.append((node, q * (duals.attack_cap[k] + duals.joint_lower[k])))
+    coefficients = tuple((node, -(1.0 - p[node]) * drop) for node, drop in zip(path, duals.drop))
     pair = (path[0], path[-1]) if path[0] < path[-1] else (path[-1], path[0])
-    return BendersCut(pair=pair, constant=constant, coefficients=tuple(coefficients))
+    return BendersCut(pair=pair, constant=duals.drop[0], coefficients=coefficients)
 
 
 def bd_scnp(

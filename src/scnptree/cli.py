@@ -49,7 +49,6 @@ from scnptree.evaluator import (
     objective_tree,
 )
 from scnptree.instance import (
-    BUDGET_SLACK,
     AttackVector,
     InstanceError,
     ParseError,
@@ -125,8 +124,7 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
         value, bound, status = res.objective, res.bound, res.status
         record["iterations"] = res.nodes
     elif method == "dp":
-        max_attacks = int(instance.budget + BUDGET_SLACK)
-        result = dp_mod.dp_solve(instance, max_attacks, params.get("nu", 4))
+        result = dp_mod.dp_solve(instance, models.max_attacks(instance), params.get("nu", 4))
         attack, value, bound = result.attack, result.exact_value, result.truncated_value
         status = STATUS_OPTIMAL
         record["slack_bound"] = result.slack_bound

@@ -41,11 +41,12 @@ class ProbabilityOutOfRange(InstanceError):
 
 
 class NonpositiveAttackCost(InstanceError):
-    """Some attack cost is zero or negative."""
+    """Some attack cost is not positive and finite, or the budget is
+    negative or not finite."""
 
 
 class NegativeConnectionCost(InstanceError):
-    """Some pair connection cost is negative."""
+    """Some pair connection cost is negative or not finite."""
 
 
 class ParseError(ValueError):
@@ -188,8 +189,8 @@ def validate(instance: TreeInstance) -> TreeInstance:
             (NonpositiveAttackCost, f"attack_cost has {len(instance.attack_cost)} entries, expected {n}")
         )
     for i, cost in enumerate(instance.attack_cost):
-        if not cost > 0.0:
-            violations.append((NonpositiveAttackCost, f"kappa[{i}] = {cost} is not positive"))
+        if not 0.0 < cost < math.inf:
+            violations.append((NonpositiveAttackCost, f"kappa[{i}] = {cost} is not positive and finite"))
 
     if instance.connection_cost is not None:
         for (i, j), cost in instance.connection_cost.items():
@@ -197,11 +198,11 @@ def validate(instance: TreeInstance) -> TreeInstance:
                 violations.append(
                     (NegativeConnectionCost, f"connection cost pair ({i},{j}) is not an ordered node pair")
                 )
-            if cost < 0.0 or math.isnan(cost):
-                violations.append((NegativeConnectionCost, f"c[{i},{j}] = {cost} is negative"))
+            if not 0.0 <= cost < math.inf:
+                violations.append((NegativeConnectionCost, f"c[{i},{j}] = {cost} is negative or not finite"))
 
-    if instance.budget < 0.0 or math.isnan(instance.budget):
-        violations.append((NonpositiveAttackCost, f"budget K = {instance.budget} is negative"))
+    if not 0.0 <= instance.budget < math.inf:
+        violations.append((NonpositiveAttackCost, f"budget K = {instance.budget} is negative or not finite"))
 
     if violations:
         error_cls, message = violations[0]

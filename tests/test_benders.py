@@ -12,6 +12,7 @@ import oracles
 from scnptree import bd_scnp, generate_instance, make_instance, objective_tree
 from scnptree.benders import (
     TRACE_HEADER,
+    PathDuals,
     analytic_dual,
     cut_from_duals,
     dual_feasibility_check,
@@ -22,8 +23,8 @@ from scnptree.benders import (
 )
 from scnptree.instance import AttackVector, build_path_table
 from scnptree.evaluator import exhaustive_solve
-from scnptree.milpcore import STATUS_OPTIMAL, STATUS_TIME_LIMIT, solve_milp
-from scnptree.models import build_chain_milp
+from scnptree.milpcore import STATUS_OPTIMAL, STATUS_TIME_LIMIT, LinearModel, solve_lp, solve_milp
+from scnptree.models import _chain_rows, build_chain_milp
 
 
 def three_node_path():
@@ -43,7 +44,6 @@ def test_slave_primal_worked_example():
     sol = slave_primal(inst, (0, 1, 2), attack)
     # levels: 1 -> 0.2 (node 0 attacked), unchanged at node 1, x0.9 at node 2
     assert sol.survival == pytest.approx((0.2, 0.2, 0.18))
-    assert sol.removal == pytest.approx((0.8, 0.0, 0.02))
     assert sol.objective == pytest.approx(0.36)
 
 
@@ -73,6 +73,59 @@ def test_strong_duality_random_cases():
         )
 
 
+def test_feasibility_check_rejects_each_violated_row():
+    inst = three_node_path()
+    path = (0, 1, 2)
+    duals = analytic_dual(inst, path, AttackVector((1, 0, 0)))
+    assert duals == PathDuals((2.0, 2.0, 2.0), (0.0, 0.0, 0.0))
+    assert dual_feasibility_check(duals, inst, path)
+    # each perturbation breaks exactly one kind of row
+    negative = PathDuals((2.0, 2.0, 2.0 + 0.9 * 0.1), (0.0, 0.0, -0.1))
+    over_cost = PathDuals((2.0, 2.0, 2.5), (0.0, 0.0, 0.0))
+    unbalanced = PathDuals((2.0, 2.5, 2.0), (0.0, 0.0, 0.0))
+    for perturbed in (negative, over_cost, unbalanced):
+        assert not dual_feasibility_check(perturbed, inst, path)
+
+
+def test_slave_is_the_chain_models_rows():
+    rng = np.random.default_rng(54)
+    for _ in range(60):
+        length = int(rng.integers(2, 8))
+        nodes = tuple(int(u) for u in rng.permutation(length))
+        probs = rng.uniform(size=length)
+        sure = rng.uniform(size=length) < 0.3
+        probs[sure] = rng.choice([0.0, 1.0], size=int(sure.sum()))
+        cost = float(rng.integers(1, 10))
+        inst = make_instance(
+            length,
+            list(zip(nodes, nodes[1:])),
+            probs.tolist(),
+            [1.0] * length,
+            [(nodes[0], nodes[-1], cost)],
+            float(length),
+        )
+        attack = AttackVector(tuple(int(b) for b in rng.integers(0, 2, length)))
+        model = LinearModel("slave")
+        prev = None
+        for k, node in enumerate(nodes):
+            flag = float(attack.flags[node])
+            v = model.add_variable(f"v{node}", lower=flag, upper=flag)
+            s = model.add_variable(f"s{k}", objective=cost if k == length - 1 else 0.0)
+            _chain_rows(model, v, s, prev, 1.0 - inst.survival_prob[node], str(k))
+            prev = s
+        primal = slave_primal(inst, nodes, attack).objective
+        for backend in ("highs", "simplex"):
+            res = solve_lp(model, backend=backend)
+            assert res.status == STATUS_OPTIMAL
+            assert res.objective == pytest.approx(primal, abs=1e-9)
+        # rows run sfirst, then sdrop and sscale per later position
+        duals = analytic_dual(inst, nodes, attack)
+        y = [duals.drop[0]]
+        for k in range(1, length):
+            y += [duals.drop[k], duals.scale[k]]
+        assert model.dual_objective(np.array(y)) == pytest.approx(primal, abs=1e-9)
+
+
 def test_dual_collapses_when_attack_is_certain():
     inst = make_instance(
         3, [(0, 1), (1, 2)], [0.5, 0.0, 0.7], [1.0] * 3, None, 3.0
@@ -80,7 +133,7 @@ def test_dual_collapses_when_attack_is_certain():
     attack = AttackVector((0, 1, 0))
     duals = analytic_dual(inst, (0, 1, 2), attack)
     assert duals == analytic_dual(inst, (0, 1, 2), attack)
-    assert all(x == 0.0 for x in duals.attack_cap + duals.balance)
+    assert all(x == 0.0 for x in duals.drop + duals.scale)
     assert dual_objective(duals, inst, (0, 1, 2), attack) == pytest.approx(0.0)
     assert slave_primal(inst, (0, 1, 2), attack).objective == pytest.approx(0.0)
 

@@ -138,6 +138,33 @@ def test_solve_dp_record_has_slack_bound(tmp_path, capsys):
     assert record["slack_bound"] == pytest.approx(6 * 5 / 2 / 10**6)
 
 
+def test_solve_dp_allows_only_the_attacks_the_budget_buys(tmp_path, capsys):
+    # int(K) attacks would size the DP's level tables past their cap
+    inst, path = write_custom(tmp_path, "inst.json", p=[0.5, 0.2, 0.9, 1.0, 0.4, 0.7], budget=1e300)
+    code, out, _ = run(capsys, "solve", str(path), "--method", "dp", "--nu", "6")
+    assert code == 0
+    record = json.loads(out)
+    _, opt = exhaustive_solve(inst)
+    assert record["value"] == pytest.approx(opt, abs=1e-12)
+    assert record["bound"] <= opt <= record["bound"] + record["slack_bound"]
+
+
+@pytest.mark.parametrize("field", ["kappa", "c", "K"])
+def test_solve_rejects_non_finite_numbers(tmp_path, capsys, field):
+    payload = {"n": 2, "edges": [[0, 1]], "p": [0.5, 0.5], "kappa": [1.0, 1.0], "c": "unit", "K": 1.0}
+    if field == "kappa":
+        payload["kappa"] = [float("inf"), 1.0]
+    elif field == "c":
+        payload["c"] = [[0, 1, float("inf")]]
+    else:
+        payload["K"] = float("inf")
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert "Infinity" in path.read_text(encoding="utf-8")
+    code, _, err = run(capsys, "solve", str(path), "--method", "milp")
+    assert code == 2 and "error:" in err
+
+
 def test_solve_gap_is_zero_for_zero_value(tmp_path, capsys):
     inst, path = write_custom(
         tmp_path,

@@ -87,6 +87,19 @@ def test_validate_rejects_negative_connection_cost():
         make_instance(2, [(0, 1)], [0.5, 0.5], [1.0, 1.0], [(0, 1, -2.0)], 1.0)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "field, error",
+    [("kappa", NonpositiveAttackCost), ("c", NegativeConnectionCost), ("K", NonpositiveAttackCost)],
+)
+def test_validate_rejects_non_finite_numbers(field, error, value):
+    kappa = [value, 1.0] if field == "kappa" else [1.0, 1.0]
+    costs = [(0, 1, value)] if field == "c" else None
+    budget = value if field == "K" else 1.0
+    with pytest.raises(error):
+        make_instance(2, [(0, 1)], [0.5, 0.5], kappa, costs, budget)
+
+
 def test_validate_collects_full_report():
     with pytest.raises(InstanceError) as info:
         make_instance(3, [(0, 1), (0, 1)], [2.0, 0.5, 0.5], [1.0, -1.0, 1.0], None, 1.0)
