@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scnptree.evaluator import pair_costs, pair_survival
-from scnptree.instance import AttackVector, PathTable, TreeInstance, build_path_table
+from scnptree.evaluator import pair_values
+from scnptree.instance import AttackVector, TreeInstance, build_path_table
 from scnptree.milpcore import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -122,14 +122,6 @@ def slave_primal(instance: TreeInstance, path: tuple[int, ...], attack: AttackVe
         level -= (1.0 - instance.survival_prob[node]) * attack.flags[node] * level
         survival.append(level)
     return SlaveSolution(tuple(survival), instance.pair_cost(path[0], path[-1]) * level)
-
-
-def pair_values(instance: TreeInstance, paths: PathTable, attack: AttackVector) -> np.ndarray:
-    """Slave objectives of every pair in ``paths.pairs()`` order: cost times
-    the pair's path survival product from ``evaluator.pair_survival``;
-    empty when n = 1."""
-    products = pair_survival(instance, paths, np.array([attack.flags]))[0]
-    return products * pair_costs(instance, paths)
 
 
 def analytic_dual(instance: TreeInstance, path: tuple[int, ...], attack: AttackVector) -> PathDuals:

@@ -56,15 +56,16 @@ from scnptree.instance import (
     build_path_table,
     instance_from_payload,
     make_instance,
+    max_attacks,
     read_instance,
     write_instance,
 )
-from scnptree.milpcore import BACKENDS, STATUS_OPTIMAL, solve_milp
+from scnptree.milpcore import BACKENDS, STATUS_OPTIMAL, STATUS_TIME_LIMIT, solve_milp
 
 METHODS = ("benders", "milp", "ilp-p", "dp", "exhaustive")
 STATUS_ERROR = "Error"
 BENCH_CSV_HEADER = "n,scheme,method,instances,mean_time_s,mean_gap_pct,closed,mean_iterations,mean_cuts"
-_FILENAME_RE = re.compile(r"^tree_n(\d+)_(unit|type1|type2|type3)_(\d+)\.json$")
+_FILENAME_RE = re.compile(rf"^tree_n(\d+)_({'|'.join(generator.SCHEMES)})_(\d+)\.json$")
 
 
 def _gap(value: float | None, bound: float | None) -> float:
@@ -124,7 +125,7 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
         value, bound, status = res.objective, res.bound, res.status
         record["iterations"] = res.nodes
     elif method == "dp":
-        result = dp_mod.dp_solve(instance, models.max_attacks(instance), params.get("nu", 4))
+        result = dp_mod.dp_solve(instance, max_attacks(instance), params.get("nu", 4))
         attack, value, bound = result.attack, result.exact_value, result.truncated_value
         status = STATUS_OPTIMAL
         record["slack_bound"] = result.slack_bound
@@ -132,7 +133,7 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
         raise ValueError(f"unknown method {method!r}")
 
     elapsed = time.perf_counter() - started
-    timed_out = status == "TimeLimit" and time_limit is not None
+    timed_out = status == STATUS_TIME_LIMIT and time_limit is not None
     record.update(
         value=_finite(value),
         bound=_finite(bound),

@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from scnptree.evaluator import objective_tree
-from scnptree.instance import AttackVector, TreeInstance, build_path_table
+from scnptree.instance import AttackVector, TreeInstance, build_path_table, rooted
 
 # Largest state bound n*n*K*mu that dp_solve accepts.
 STATE_CAP = 1_000_000_000
@@ -125,20 +125,6 @@ def _int_dtype(n: int, mu: int, den: int) -> type:
     return np.int64 if bound < 2**62 else object
 
 
-def _rooted_children(instance: TreeInstance, root: int) -> tuple[list[list[int]], list[int]]:
-    """Children of every node, and the nodes ordered with children first."""
-    adjacency = instance.adjacency()
-    children: list[list[int]] = [[] for _ in range(instance.node_count)]
-    parent = [-1] * instance.node_count
-    order = [root]
-    for node in order:
-        children[node] = [nxt for nxt in reversed(adjacency[node]) if nxt != parent[node]]
-        for nxt in children[node]:
-            parent[nxt] = node
-        order.extend(children[node])
-    return children, order[::-1]
-
-
 def _merge(
     rest: _Table, child: _Table, q: tuple[np.ndarray, np.ndarray], den: int, mu: int, budget: int
 ) -> tuple[_Table, int]:
@@ -200,8 +186,8 @@ def dp_solve(
 
     ``nu`` sets the truncation scale mu = 10**nu, and the tree is rooted at
     ``root``.  Every merge advances c by the merged child's own probability.
-    Raises ``StateOverflow`` before any merge when n*n*K*mu exceeds
-    ``STATE_CAP``.
+    K is ``max_attacks`` capped at n; raises ``StateOverflow`` before any
+    merge when n*n*K*mu exceeds ``STATE_CAP``.
     """
     _require_unit_costs(instance)
     if max_attacks < 0:
@@ -211,7 +197,7 @@ def dp_solve(
     if root not in range(instance.node_count):
         raise ValueError(f"root {root} out of range")
     n = instance.node_count
-    budget = int(max_attacks)
+    budget = min(int(max_attacks), n)  # no tree allows more than n attacks
     mu = 10**nu
     if n * n * budget * mu > STATE_CAP:
         raise StateOverflow(
@@ -221,7 +207,9 @@ def dp_solve(
     numerators, den = _scaled_probabilities(instance)
     dtype = _int_dtype(n, mu, den)
     q = [np.array([den, numerator], dtype) for numerator in numerators]
-    children, bottom_up = _rooted_children(instance, root)
+    adjacency = instance.adjacency()
+    parent, preorder = rooted(instance, root)
+    children = [[x for x in reversed(adjacency[node]) if x != parent[node]] for node in range(n)]
     # a node alone: unattacked, and attacked when the budget allows
     lone = np.arange(min(budget, 1) + 1)
     zeros, no_row = np.zeros(len(lone), dtype), np.full(len(lone), -1)
@@ -230,7 +218,7 @@ def dp_solve(
     transition_count = 0
     # levels[node][i]: the table after folding children[node][i:]
     levels: dict[int, list[_Table]] = {}
-    for node in bottom_up:
+    for node in reversed(preorder):
         kids = children[node]
         node_levels = [base]
         for child in reversed(kids):

@@ -1,20 +1,22 @@
 """Ground-truth objective computation and brute-force search.
 
 ``pair_survival`` is the one kernel for per-pair path survival products;
-``objective_tree``, ``batch_objective`` and ``benders.pair_values`` weight
-it by pair cost, and ``exhaustive_solve`` minimizes ``batch_objective``.
+``pair_values`` (the cut loop's, summed by ``objective_tree``) and
+``batch_objective`` weight it by pair cost, and ``exhaustive_solve``
+minimizes ``batch_objective`` over ``instance.attackable_nodes``.
 ``objective_scenarios`` shares no code with it: it enumerates the outcomes
 of the attacked set on any graph, and the tests hold the kernel to it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator
 
 import numpy as np
 
-from scnptree.instance import BUDGET_SLACK, AttackVector, PathTable, TreeInstance, build_path_table
+from scnptree.instance import BUDGET_SLACK, AttackVector, PathTable, TreeInstance, attackable_nodes, build_path_table
 
 
 class TooManyAttackedNodes(ValueError):
@@ -84,15 +86,21 @@ def pair_costs(instance: TreeInstance, paths: PathTable) -> np.ndarray:
     return np.array([instance.connection_cost.get(pair, 1.0) for pair in paths.pairs()])
 
 
+def pair_values(instance: TreeInstance, paths: PathTable, attack: AttackVector) -> np.ndarray:
+    """Expected connection cost of every pair in ``paths.pairs()`` order:
+    its cost times its path survival product; empty when n = 1."""
+    products = pair_survival(instance, paths, np.array([attack.flags]))[0]
+    return products * pair_costs(instance, paths)
+
+
 def objective_tree(instance: TreeInstance, paths: PathTable, attack: AttackVector) -> float:
     """Expected pairwise connectivity via per-path survival products.
 
     Each pair (i, j) contributes c_ij * prod over path nodes k of
-    (1 - (1 - p_k) v_k), taken from ``pair_survival`` for one row and
-    added with compensated summation.
+    (1 - (1 - p_k) v_k), taken from ``pair_values`` and added with
+    compensated summation.
     """
-    products = pair_survival(instance, paths, np.array([attack.flags]))[0]
-    return math.fsum((products * pair_costs(instance, paths)).tolist())
+    return math.fsum(pair_values(instance, paths, attack).tolist())
 
 
 def objective_scenarios(instance: TreeInstance, attack: AttackVector) -> float:
@@ -167,11 +175,11 @@ def feasible_attack_vectors(instance: TreeInstance) -> Iterator[tuple[int, ...]]
     """Yield every feasible attack flag tuple in lexicographic order.
 
     Feasible means within budget and never attacking a node with survival
-    probability 1.  Only nodes with p < 1 are branched on, so instances
-    with more than 20 attackable nodes are rejected.
+    probability 1.  Only ``attackable_nodes`` are branched on, so instances
+    with more than 20 of them are rejected.
     """
     n = instance.node_count
-    attackable = [i for i in range(n) if instance.survival_prob[i] < 1.0]
+    attackable = attackable_nodes(instance)
     if len(attackable) > 20:
         raise InstanceTooLarge(f"{len(attackable)} attackable nodes; exhaustive limit is 20")
     kappa = instance.attack_cost
@@ -217,33 +225,20 @@ def batch_objective(instance: TreeInstance, paths: PathTable, flag_rows: np.ndar
 def exhaustive_solve(instance: TreeInstance) -> tuple[AttackVector, float]:
     """Minimize over every feasible attack vector.
 
-    Enumeration skips nodes with p = 1, prunes on the budget, and breaks
-    value ties by the lexicographically smallest flag tuple (the
-    enumeration order), evaluating candidates in vectorized batches.
+    Enumeration skips nodes no feasible attack can hit, prunes on the
+    budget, and breaks value ties by the lexicographically smallest flag
+    tuple (the enumeration order), evaluating batches of 16 384.
     """
     paths = build_path_table(instance)
-
     best_value = math.inf
     best_flags: tuple[int, ...] | None = None
-    chunk: list[tuple[int, ...]] = []
-    chunk_size = 16384
-
-    def flush() -> None:
-        nonlocal best_value, best_flags
-        if not chunk:
-            return
+    vectors = feasible_attack_vectors(instance)
+    while chunk := list(itertools.islice(vectors, 16384)):
         values = batch_objective(instance, paths, np.array(chunk, dtype=float))
         index = int(np.argmin(values))
         if values[index] < best_value:
             best_value = float(values[index])
             best_flags = chunk[index]
-        chunk.clear()
-
-    for flags in feasible_attack_vectors(instance):
-        chunk.append(flags)
-        if len(chunk) >= chunk_size:
-            flush()
-    flush()
 
     assert best_flags is not None  # the empty attack is always feasible
     return AttackVector(best_flags), best_value

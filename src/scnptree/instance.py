@@ -6,6 +6,10 @@ pairs (i, j) with i < j to nonnegative floats, with unlisted pairs
 defaulting to 1.  Instances and path tables are immutable after
 construction (a path table builds its node sequences once, on first use)
 and safe to share across threads.
+
+Every method reads one tree walk, ``rooted``, one normaliser of raw
+fields, ``make_instance``, and one attack rule, ``attackable_nodes`` and
+``max_attacks``.
 """
 
 from __future__ import annotations
@@ -96,11 +100,7 @@ class TreeInstance:
 
     def leaves(self) -> list[int]:
         """Nodes of degree exactly 1."""
-        degree = [0] * self.node_count
-        for u, v in self.edges:
-            degree[u] += 1
-            degree[v] += 1
-        return [i for i in range(self.node_count) if degree[i] == 1]
+        return [i for i, neighbors in enumerate(self.adjacency()) if len(neighbors) == 1]
 
     def total_connection_cost(self) -> float:
         """Sum of c_ij over all pairs: the objective with nothing attacked."""
@@ -112,6 +112,25 @@ class TreeInstance:
         return total
 
 
+def rooted(instance: TreeInstance, root: int = 0) -> tuple[list[int], list[int]]:
+    """Parent of every node (the root its own, -1 if unreached) and the
+    reached nodes in preorder, where each subtree is a contiguous run.
+    The walk enters each node once, so it ends on a cycle too."""
+    adjacency = instance.adjacency()
+    parent = [-1] * instance.node_count
+    parent[root] = root
+    preorder: list[int] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        for nxt in adjacency[node]:
+            if parent[nxt] < 0:
+                parent[nxt] = node
+                stack.append(nxt)
+    return parent, preorder
+
+
 def make_instance(
     node_count: int,
     edges: Iterable[Sequence[int]],
@@ -121,7 +140,6 @@ def make_instance(
     budget: float,
 ) -> TreeInstance:
     """Normalize raw fields into a validated TreeInstance."""
-    edge_tuple = tuple(normalize_pair(int(u), int(v)) for u, v in edges)
     costs: dict[tuple[int, int], float] | None
     if connection_cost is None:
         costs = None
@@ -131,7 +149,7 @@ def make_instance(
         costs = {normalize_pair(int(i), int(j)): float(c) for i, j, c in connection_cost}
     instance = TreeInstance(
         node_count=int(node_count),
-        edges=edge_tuple,
+        edges=tuple(normalize_pair(int(u), int(v)) for u, v in edges),
         survival_prob=tuple(float(p) for p in survival_prob),
         attack_cost=tuple(float(k) for k in attack_cost),
         connection_cost=costs,
@@ -161,19 +179,9 @@ def validate(instance: TreeInstance) -> TreeInstance:
         elif u == v:
             violations.append((NotATree, f"self-loop at node {u}"))
     # Reachability check only makes sense once the edge list itself is sane.
-    if not violations and n >= 1:
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        adj = instance.adjacency()
-        while stack:
-            node = stack.pop()
-            for nxt in adj[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        if not all(seen):
-            missing = [i for i in range(n) if not seen[i]]
+    if not violations:
+        missing = [i for i, up in enumerate(rooted(instance)[0]) if up < 0]
+        if missing:
             violations.append((NotATree, f"nodes {missing} unreachable from node 0"))
 
     if len(instance.survival_prob) != n:
@@ -200,6 +208,9 @@ def validate(instance: TreeInstance) -> TreeInstance:
                 )
             if not 0.0 <= cost < math.inf:
                 violations.append((NegativeConnectionCost, f"c[{i},{j}] = {cost} is negative or not finite"))
+        total = instance.total_connection_cost()
+        if not math.isfinite(total) and all(0.0 <= c < math.inf for c in instance.connection_cost.values()):
+            violations.append((NegativeConnectionCost, f"total connection cost {total} is not finite"))
 
     if not 0.0 <= instance.budget < math.inf:
         violations.append((NonpositiveAttackCost, f"budget K = {instance.budget} is negative or not finite"))
@@ -218,7 +229,7 @@ class PathTable:
     (the root to itself) and ``levels`` is the height plus two.  Pairs
     (i, j) with i < j are taken in lexicographic order, the column order of
     ``evaluator.pair_survival`` and of every per-pair array, such as
-    ``benders.pair_values`` and the cut loop's z columns.  A pair's path
+    ``evaluator.pair_values`` and the cut loop's z columns.  A pair's path
     is two upward runs: from i to just below the lowest common ancestor,
     and from j to the ancestor inclusive.  ``slots`` has shape (2, pairs)
     and holds each run as length * n + start, its position in
@@ -259,26 +270,17 @@ class PathTable:
 
 
 def build_path_table(instance: TreeInstance) -> PathTable:
-    """Index arrays of every pairwise path from one preorder traversal.
+    """Index arrays of every pairwise path from the preorder of ``rooted``.
 
     Each subtree is a contiguous run of the preorder, so one slice
     assignment per node, parents first, fills the table of lowest common
     ancestor depths for all pairs at once.  No node sequence is built.
     """
     n = instance.node_count
-    adj = instance.adjacency()
-    parent = [0] * n
+    parent, order = rooted(instance)
     depth = [0] * n
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for nxt in adj[node]:
-            if nxt != parent[node]:
-                parent[nxt] = node
-                depth[nxt] = depth[node] + 1
-                stack.append(nxt)
+    for node in order[1:]:
+        depth[node] = depth[parent[node]] + 1
     size = [1] * n
     for node in reversed(order[1:]):
         size[parent[node]] += size[node]
@@ -339,6 +341,24 @@ class AttackVector:
         return self.total_cost(instance) <= instance.budget + slack
 
 
+def attackable_nodes(instance: TreeInstance) -> tuple[int, ...]:
+    """Nodes some feasible attack may hit: p < 1 and affordable alone."""
+    limit = instance.budget + BUDGET_SLACK
+    return tuple(
+        i
+        for i, (p, cost) in enumerate(zip(instance.survival_prob, instance.attack_cost))
+        if p < 1.0 and cost <= limit
+    )
+
+
+def max_attacks(instance: TreeInstance) -> int:
+    """Most nodes a feasible attack can hit: how many of the cheapest
+    attackable nodes, taken in ascending cost, fit in the budget."""
+    limit = instance.budget + BUDGET_SLACK
+    costs = sorted(instance.attack_cost[i] for i in attackable_nodes(instance))
+    return sum(spent <= limit for spent in itertools.accumulate(costs))
+
+
 def read_instance(path) -> TreeInstance:
     """Read a canonical instance file and validate it."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -371,17 +391,11 @@ def instance_from_payload(raw, source) -> TreeInstance:
         raise ParseError(f"{source}: 'c' must be \"unit\" or a list of triples", field="c")
 
     try:
-        instance = TreeInstance(
-            node_count=int(raw["n"]),
-            edges=tuple(normalize_pair(int(u), int(v)) for u, v in raw["edges"]),
-            survival_prob=tuple(float(p) for p in raw["p"]),
-            attack_cost=tuple(float(k) for k in raw["kappa"]),
-            connection_cost=costs,
-            budget=float(raw["K"]),
-        )
+        return make_instance(raw["n"], raw["edges"], raw["p"], raw["kappa"], costs, raw["K"])
+    except InstanceError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed field value: {exc}") from exc
-    return validate(instance)
 
 
 def write_instance(instance: TreeInstance, path) -> None:

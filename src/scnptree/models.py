@@ -12,11 +12,12 @@ Two exact models over binary attack flags v_i:
   that count per pair.
 
 Both share one attack block (``_add_attack_block``) that states what the
-budget implies about binary v: upper bound 0 on every node with p_i = 1
-or a cost above the budget, the budget rounded down to the gcd grid of
-the attackable costs when they are all integers, and a row capping the
-number of attacks at ``max_attacks``.  The chain model optionally adds
-leaf dominance rows.
+budget implies about binary v, by the attack rule of ``instance``: upper
+bound 0 on every node outside ``attackable_nodes`` (p_i = 1 or a cost
+above the budget), the budget rounded down to the gcd grid of the
+attackable costs when they are all integers, and a row capping the number
+of attacks at ``max_attacks``.  The chain model optionally adds leaf
+dominance rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scnptree.instance import BUDGET_SLACK, AttackVector, PathTable, TreeInstance
+from scnptree.instance import BUDGET_SLACK, AttackVector, PathTable, TreeInstance, attackable_nodes, max_attacks
 from scnptree.milpcore import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearModel, NumericalFailure
 
 
@@ -74,29 +75,6 @@ def valid_inequalities(instance: TreeInstance) -> tuple[tuple[int, int], ...]:
         ):
             out.append((i, j))
     return tuple(out)
-
-
-def attackable_nodes(instance: TreeInstance) -> tuple[int, ...]:
-    """Nodes some feasible attack may hit: p < 1 and affordable alone."""
-    limit = instance.budget + BUDGET_SLACK
-    return tuple(
-        i
-        for i, (p, cost) in enumerate(zip(instance.survival_prob, instance.attack_cost))
-        if p < 1.0 and cost <= limit
-    )
-
-
-def max_attacks(instance: TreeInstance) -> int:
-    """Most nodes a feasible attack can hit: how many of the cheapest
-    attackable nodes, taken in ascending cost, fit in the budget."""
-    limit = instance.budget + BUDGET_SLACK
-    costs = sorted(instance.attack_cost[i] for i in attackable_nodes(instance))
-    spent = 0.0
-    for k, cost in enumerate(costs):
-        spent += cost
-        if spent > limit:
-            return k
-    return len(costs)
 
 
 def _add_attack_block(

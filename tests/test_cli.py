@@ -165,6 +165,16 @@ def test_solve_rejects_non_finite_numbers(tmp_path, capsys, field):
     assert code == 2 and "error:" in err
 
 
+def test_solve_rejects_an_infinite_total_connection_cost(tmp_path, capsys):
+    costs = [[0, 1, 1e308], [0, 2, 1e308], [1, 2, 1e308]]
+    payload = {"n": 3, "edges": [[0, 1], [1, 2]], "p": [0.5] * 3, "kappa": [1.0] * 3, "c": costs, "K": 1.0}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for method in ("benders", "milp", "exhaustive"):
+        code, out, err = run(capsys, "solve", str(path), "--method", method)
+        assert code == 2 and out == "" and "total connection cost inf" in err
+
+
 def test_solve_gap_is_zero_for_zero_value(tmp_path, capsys):
     inst, path = write_custom(
         tmp_path,

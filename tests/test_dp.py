@@ -249,6 +249,14 @@ def test_state_cap_overflow():
         dp_solve(inst, max_attacks=20, nu=4)
 
 
+def test_attack_count_is_capped_at_n():
+    # no tree allows more than n attacks, so a larger count changes nothing
+    # and stays clear of the state cap
+    inst = generate_instance(8, "unit", 1)
+    assert 8 * 8 * 10**9 * 10**4 > STATE_CAP
+    assert dp_solve(inst, max_attacks=10**9, nu=4) == dp_solve(inst, max_attacks=8, nu=4)
+
+
 def test_parameter_validation():
     rng = np.random.default_rng(78)
     inst = unit_instance(rng, 4, 2)

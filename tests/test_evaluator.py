@@ -177,6 +177,20 @@ def test_feasible_attack_vectors_guard():
         list(feasible_attack_vectors(inst))
 
 
+def test_exhaustive_solve_branches_only_on_affordable_nodes():
+    # 25 nodes with p < 1, but only five cost at most the budget
+    cheap = (2, 7, 12, 17, 22)
+    kappa = [1.0 if i in cheap else 100.0 for i in range(25)]
+    inst = make_instance(25, [(i, i + 1) for i in range(24)], [0.5] * 25, kappa, None, 5.0)
+    paths = build_path_table(inst)
+    subsets = [[node for bit, node in enumerate(cheap) if mask >> bit & 1] for mask in range(32)]
+    best = min(objective_tree(inst, paths, AttackVector.from_nodes(nodes, 25)) for nodes in subsets)
+    attack, value = exhaustive_solve(inst)
+    assert value == best
+    assert attack.attacked == cheap  # attacking all five is best on a path
+    assert len(list(feasible_attack_vectors(inst))) == 32
+
+
 def test_exhaustive_solve_matches_brute_force():
     rng = np.random.default_rng(3)
     for _ in range(15):

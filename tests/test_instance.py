@@ -100,6 +100,20 @@ def test_validate_rejects_non_finite_numbers(field, error, value):
         make_instance(2, [(0, 1)], [0.5, 0.5], kappa, costs, budget)
 
 
+def test_validate_rejects_an_infinite_total_connection_cost():
+    # every pair cost is finite, but their sum overflows
+    costs = [(0, 1, 1e308), (0, 2, 1e308), (1, 2, 1e308)]
+    with pytest.raises(NegativeConnectionCost, match="total connection cost inf") as info:
+        make_instance(3, [(0, 1), (1, 2)], [0.5] * 3, [1.0] * 3, costs, 1.0)
+    assert info.value.report == ["total connection cost inf is not finite"]
+
+
+def test_validate_ends_on_a_cycle_beside_an_isolated_root():
+    # three edges for four nodes, but they close a cycle and leave node 0 alone
+    with pytest.raises(NotATree, match=r"nodes \[1, 2, 3\] unreachable from node 0"):
+        make_instance(4, [(1, 2), (2, 3), (1, 3)], [0.5] * 4, [1.0] * 4, None, 1.0)
+
+
 def test_validate_collects_full_report():
     with pytest.raises(InstanceError) as info:
         make_instance(3, [(0, 1), (0, 1)], [2.0, 0.5, 0.5], [1.0, -1.0, 1.0], None, 1.0)

@@ -1,14 +1,16 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level name is referenced somewhere.
 
-No linter ships with the package, so this scan stands in for one.  The
+No linter ships with the package, so these scans stand in for one.  The
 package ``__init__`` files import names only to re-export them and are
-skipped.
+skipped by the import scan.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -38,3 +40,57 @@ def test_library_modules_use_every_import():
         if unused:
             found[str(path.relative_to(SRC))] = unused
     assert not found, f"unused imports: {found}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` functions, classes and assignments."""
+    found: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in a module: bare loads, attributes and imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_private_helper_scan_sees_a_dead_helper():
+    tree = ast.parse("_LIMIT = 3\n_a, _b = 1, 2\ndef _used():\n    return _LIMIT + _a\ndef _dead():\n    pass\n_used()\n")
+    defined = private_definitions(tree)
+    assert defined == {"_LIMIT": 1, "_a": 2, "_b": 2, "_used": 3, "_dead": 5}
+    assert sorted(set(defined) - referenced_names(tree)) == ["_b", "_dead"]
+
+
+def test_every_private_module_name_is_referenced():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for directory in ("src", "tests", "perfbench")
+        for path in (ROOT / directory).rglob("*.py")
+    }
+    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
+    dead = {
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path, tree in trees.items()
+        if SRC in path.parents
+        for name, line in private_definitions(tree).items()
+        if name not in referenced
+    }
+    assert not dead, f"private names nothing references: {sorted(dead)}"
