@@ -1,9 +1,13 @@
 """Ground-truth objective computation and brute-force search.
 
-``pair_survival`` is the one kernel for per-pair path survival products;
-``pair_values`` (the cut loop's, summed by ``objective_tree``) and
-``batch_objective`` weight it by pair cost, and ``exhaustive_solve``
-minimizes ``batch_objective`` over ``instance.attackable_nodes``.
+Path survival products come from one kernel: ``_upward_into`` builds a
+table of upward products and ``_products_into`` multiplies two of its rows
+per pair.  ``pair_survival`` runs it once on all rows and pairs, and
+``pair_values`` (the cut loop's, summed by ``objective_tree``) weights its
+products by pair cost.  ``batch_objective`` runs it in blocks: one table
+per block of rows, read by blocks of pairs, so its scratch stays
+cache-sized whatever the batch.  ``exhaustive_solve`` minimizes
+``batch_objective`` over ``instance.attackable_nodes``.
 ``objective_scenarios`` shares no code with it: it enumerates the outcomes
 of the attacked set on any graph, and the tests hold the kernel to it.
 """
@@ -17,6 +21,12 @@ from typing import Iterator
 import numpy as np
 
 from scnptree.instance import BUDGET_SLACK, AttackVector, PathTable, TreeInstance, attackable_nodes, build_path_table
+
+
+# batch_objective's block sizes, chosen by timing the benchmark's bulk blocks
+_TABLE_FLOATS = 1 << 19  # most floats in the upward table of one row block
+_PRODUCT_FLOATS = 1 << 16  # floats in one pair block's products
+_WIDE_ROWS = 256  # fewest rows per block, where the table allows as many
 
 
 class TooManyAttackedNodes(ValueError):
@@ -36,35 +46,29 @@ def pair_survival(instance: TreeInstance, paths: PathTable, flag_rows: np.ndarra
     pair multiplies its two ``paths.slots``.  No division: p = 0 stays exact.
     """
     rows = _flag_rows(instance, flag_rows)
-    return _survival_into(instance, paths, rows, np.empty(_floats_per_row(instance, paths) * len(rows))).T
+    height, pairs = paths.levels * instance.node_count, paths.slots.shape[1]
+    scratch = np.empty((height + 2 * pairs) * len(rows))
+    table = _upward_into(instance, paths, rows, scratch[: height * len(rows)])
+    first, second = scratch[height * len(rows) :].reshape(2, pairs, len(rows))
+    return _products_into(table, paths.slots, first, second).T
 
 
 def _flag_rows(instance: TreeInstance, flag_rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(flag_rows)
     if rows.ndim != 2 or rows.shape[1] != instance.node_count:
         raise ValueError(f"expected shape (batch, {instance.node_count})")
+    if not ((rows == 0) | (rows == 1)).all():
+        raise ValueError("attack flags must be 0 or 1")
     return rows
 
 
-def _floats_per_row(instance: TreeInstance, paths: PathTable) -> int:
-    """Scratch ``_survival_into`` needs per row: the upward table and two
-    pair-product blocks."""
-    return paths.levels * instance.node_count + 2 * paths.slots.shape[1]
-
-
-def _survival_into(instance: TreeInstance, paths: PathTable, rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``pair_survival``'s kernel on a flat ``scratch`` of at least
-    ``_floats_per_row * len(rows)`` floats; returns the products, pairs by
-    batch, as a view into it.  ``mode="clip"`` lets ``np.take`` write
-    straight into ``out`` (the default ``mode="raise"`` buffers it); every
-    index is in range."""
-    n, batch, pairs = instance.node_count, len(rows), paths.slots.shape[1]
-    cut = paths.levels * n * batch
-    # Batch last: every gather below copies contiguous rows of the batch.
-    upward = scratch[:cut].reshape(paths.levels, n, batch)
-    first, second = (
-        scratch[cut + k * pairs * batch : cut + (k + 1) * pairs * batch].reshape(pairs, batch) for k in (0, 1)
-    )
+def _upward_into(instance: TreeInstance, paths: PathTable, rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Build the upward table of ``rows`` in ``scratch`` (``paths.levels *
+    n * len(rows)`` floats) and return it as a (levels * n, batch) view.
+    Batch last: every gather from it copies contiguous rows of the batch.
+    ``mode="clip"`` lets ``np.take`` write straight into ``out`` (the
+    default ``mode="raise"`` buffers it); every index is in range."""
+    upward = scratch.reshape(paths.levels, instance.node_count, len(rows))
     upward[0] = 1.0
     factors = upward[1]
     np.multiply(rows.T, np.subtract(instance.survival_prob, 1.0)[:, None], out=factors)
@@ -72,9 +76,14 @@ def _survival_into(instance: TreeInstance, paths: PathTable, rows: np.ndarray, s
     for k in range(2, paths.levels):
         np.take(upward[k - 1], paths.parent, axis=0, out=upward[k], mode="clip")
         upward[k] *= factors
-    flat = upward.reshape(paths.levels * n, batch)
-    np.take(flat, paths.slots[0], axis=0, out=first, mode="clip")
-    np.take(flat, paths.slots[1], axis=0, out=second, mode="clip")
+    return upward.reshape(-1, len(rows))
+
+
+def _products_into(table: np.ndarray, slots: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Survival products of the pairs whose ``slots`` are given, pairs by
+    batch, written into ``first``; ``second`` is overwritten."""
+    np.take(table, slots[0], axis=0, out=first, mode="clip")
+    np.take(table, slots[1], axis=0, out=second, mode="clip")
     first *= second
     return first
 
@@ -203,23 +212,50 @@ def feasible_attack_vectors(instance: TreeInstance) -> Iterator[tuple[int, ...]]
 
 def batch_objective(instance: TreeInstance, paths: PathTable, flag_rows: np.ndarray) -> np.ndarray:
     """Objective of many attack vectors at once: cost-weighted row sums of
-    ``pair_survival``, fed chunks of about 2^18 pair products so that its
-    tables stay in cache (every row is 0 when n = 1, which has no pairs).
+    ``pair_survival`` (every row is 0 when n = 1, which has no pairs).
 
-    One scratch allocation per call, sized for the largest chunk, holds the
-    upward table and both product blocks for every chunk.  Fresh
-    temporaries per chunk, or several buffers per call, let glibc's
-    dynamic mmap and trim thresholds map, fault and unmap megabytes on
-    call after call."""
+    Rows go in blocks (``_block_shape``), each with one upward table of at
+    most ``_TABLE_FLOATS`` floats.  A block's pairs go in blocks of about
+    ``_PRODUCT_FLOATS`` products, and each adds ``products.T @ costs`` over
+    its pairs to the block's values.  With one pair block, a row's value is
+    that one product, as an unblocked pass would give it.
+
+    One scratch allocation per call holds the table and both product
+    blocks.  Fresh temporaries per block, or several buffers per call, let
+    glibc's dynamic mmap and trim thresholds map, fault and unmap megabytes
+    on call after call."""
     rows = _flag_rows(instance, flag_rows)
     costs = pair_costs(instance, paths)
-    step = max(1, (1 << 18) // max(1, len(costs)))
-    scratch = np.empty(_floats_per_row(instance, paths) * min(step, len(rows)))
-    values = np.empty(len(rows))
-    for start in range(0, len(rows), step):
-        chunk = rows[start : start + step]
-        values[start : start + len(chunk)] = _survival_into(instance, paths, chunk, scratch).T @ costs
+    height, pairs = paths.levels * instance.node_count, len(costs)
+    block, width = _block_shape(height, pairs, len(rows))
+    scratch = np.empty(block * (height + 2 * width))
+    values = np.zeros(len(rows))
+    for start in range(0, len(rows), block):
+        chunk = rows[start : start + block]
+        batch = len(chunk)
+        table = _upward_into(instance, paths, chunk, scratch[: height * batch])
+        products = scratch[height * batch : (height + 2 * width) * batch].reshape(2, width, batch)
+        for low in range(0, pairs, width):
+            pick = slice(low, low + width)
+            first, second = products[:, : len(costs[pick])]
+            values[start : start + batch] += _products_into(table, paths.slots[:, pick], first, second).T @ costs[pick]
     return values
+
+
+def _block_shape(height: int, pairs: int, rows: int) -> tuple[int, int]:
+    """(rows per block, pairs per block) for ``batch_objective``, given the
+    upward table's floats per row.
+
+    A row block is as wide as one pair block holding every pair allows
+    (each row then has one sum, as in a single product), but at least
+    ``_WIDE_ROWS``, and its table has at most ``_TABLE_FLOATS`` floats.
+    Where it can, it is a multiple of 8 rows: BLAS sums the last rows mod
+    4 of a matrix-vector product in another order, so aligned blocks keep
+    a row's value independent of the block it falls in, bar the last.
+    """
+    fit = min(_TABLE_FLOATS // height, max(_PRODUCT_FLOATS // max(1, pairs), _WIDE_ROWS))
+    block = max(1, min(rows, fit - fit % 8 or fit))
+    return block, max(1, min(pairs, _PRODUCT_FLOATS // block))
 
 
 def exhaustive_solve(instance: TreeInstance) -> tuple[AttackVector, float]:

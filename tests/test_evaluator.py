@@ -1,6 +1,8 @@
 """Objective evaluation routes and the exhaustive solver."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scnptree import evaluator
 from scnptree.benders import pair_values
 from scnptree.evaluator import (
     InstanceTooLarge,
@@ -17,7 +20,10 @@ from scnptree.evaluator import (
     feasible_attack_vectors,
     objective_scenarios,
     objective_tree,
+    pair_costs,
+    pair_survival,
 )
+from scnptree.generator import generate_instance
 from scnptree.instance import AttackVector, build_path_table, make_instance
 
 
@@ -131,8 +137,9 @@ def test_batch_objective_matches_single_route(case):
 
 
 def test_single_routes_after_a_chunked_batch():
-    # 7140 pairs at n = 120 give chunks of 36 rows, so 100 rows reuse one
-    # scratch buffer three times; no result handed out may share it
+    # 7140 pairs at n = 120: the 100 rows form one row block whose pairs
+    # pass in eleven blocks of at most 655, all through one scratch buffer;
+    # no result handed out may share it
     rng = np.random.default_rng(9)
     inst = oracles.random_tree_instance(rng, 120, "weighted")
     paths = build_path_table(inst)
@@ -148,6 +155,80 @@ def test_single_routes_after_a_chunked_batch():
     batch_objective(inst, paths, 1 - rows)
     expected = oracles.expected_pair_connectivity(inst, attacks[0].flags)
     assert math.fsum(before) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "kernel, flag",
+    [(batch_objective, 2), (batch_objective, -1), (batch_objective, 0.5), (pair_survival, 3)],
+    ids=["batch-2", "batch-minus-1", "batch-half", "survival-3"],
+)
+def test_flags_other_than_0_and_1_are_rejected(kernel, flag):
+    # unchecked, they read as plausible numbers: 5.84, 12.08 (above the
+    # no-attack total of 10), 8.96 and a survival of -0.56
+    inst = generate_instance(5, "unit", 1)
+    paths = build_path_table(inst)
+    with pytest.raises(ValueError, match="0 or 1"):
+        kernel(inst, paths, np.array([[flag, 0, 0, 0, 0]]))
+
+
+@pytest.mark.parametrize("scheme", ["unit", "weighted"])
+def test_batch_objective_across_row_and_pair_blocks(scheme):
+    # once pairs outnumber _PRODUCT_FLOATS / _WIDE_ROWS, a row block has
+    # _WIDE_ROWS rows and a pair block _PRODUCT_FLOATS / _WIDE_ROWS pairs;
+    # both loops run two full blocks and a ragged tail
+    block = evaluator._WIDE_ROWS
+    width = evaluator._PRODUCT_FLOATS // block
+    n = next(n for n in itertools.count(2) if n * (n - 1) // 2 > 2 * width and n * (n - 1) // 2 % width)
+    rows = 2 * block + block // 3
+    rng = np.random.default_rng(11)
+    base = oracles.random_tree_instance(rng, n, scheme)
+    p = list(base.survival_prob)
+    p[::5] = [0.0] * len(p[::5])
+    p[2::7] = [1.0] * len(p[2::7])
+    inst = make_instance(n, base.edges, p, base.attack_cost, base.connection_cost, base.budget)
+    paths = build_path_table(inst)
+    assert evaluator._block_shape(paths.levels * n, len(paths.slots[0]), rows) == (block, width)
+    flags = (rng.uniform(size=(rows, n)) < 0.3).astype(int)
+    values = batch_objective(inst, paths, flags)
+    expected = pair_survival(inst, paths, flags) @ pair_costs(inst, paths)
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+    boundaries = [0, block - 1, block, 2 * block - 1, 2 * block, rows - 1]
+    for index in boundaries + rng.choice(rows, 6, replace=False).tolist():
+        assert values[index] == pytest.approx(oracles.expected_pair_connectivity(inst, flags[index]), abs=1e-9)
+
+
+def test_row_values_do_not_depend_on_their_block():
+    # at n = 6 one pair block holds all 15 pairs, and a row block 4368 rows
+    # (4369 rounded down to a multiple of 8); BLAS sums the last rows mod 4
+    # of a product in another order, so unaligned blocks would give the
+    # rows at their ends other last bits
+    flags = np.tile(_all_flag_rows(6), (140, 1))
+    for seed in range(10):
+        inst = generate_instance(6, "type1", seed)
+        paths = build_path_table(inst)
+        block, width = evaluator._block_shape(paths.levels * 6, 15, len(flags))
+        assert (block, width) == (4368, 15)
+        values = batch_objective(inst, paths, flags)[: 2 * block]
+        assert np.array_equal(values, np.resize(values[:64], len(values)))
+
+
+def test_batch_objective_allocates_one_scratch_buffer():
+    # per-block temporaries would let glibc map, fault and unmap megabytes
+    # per call; only the scratch buffer, the pair costs, the 0/1 check's
+    # boolean masks and per-row values may be allocated
+    inst = generate_instance(200, "unit", 5)
+    paths = build_path_table(inst)
+    flags = (np.random.default_rng(5).uniform(size=(256, 200)) < 0.1).astype(np.uint8)
+    block, width = evaluator._block_shape(paths.levels * 200, len(paths.slots[0]), len(flags))
+    scratch = 8 * block * (paths.levels * 200 + 2 * width)
+    batch_objective(inst, paths, flags)
+    tracemalloc.start()
+    try:
+        batch_objective(inst, paths, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= scratch + 8 * len(paths.slots[0]) + 3 * flags.size + 64 * len(flags) + 16384
 
 
 def test_feasible_attack_vectors_lexicographic_and_complete():
@@ -199,6 +280,29 @@ def test_exhaustive_solve_matches_brute_force():
         attack, found = exhaustive_solve(inst)
         assert found == pytest.approx(value, abs=1e-9)
         assert attack.flags == flags
+
+
+def test_exhaustive_solve_across_chunks_matches_brute_force():
+    # two hubs with eight leaves each; two leaves have p = 1, so 16 nodes
+    # are attackable and 7 attacks fit: 26 333 vectors, two chunks of
+    # 16 384.  Dyadic p makes every value exact, so ties are real ties.
+    edges = [(0, 1)] + [(0, leaf) for leaf in range(2, 10)] + [(1, leaf) for leaf in range(10, 18)]
+    leaf_p = [0.5, 0.5, 0.0, 1.0, 0.75, 0.5, 0.0, 0.25]
+    inst = make_instance(18, edges, [0.25, 0.25] + leaf_p * 2, [1.0] * 18, None, 7.0)
+    vectors = list(feasible_attack_vectors(inst))
+    assert len(vectors) == 26333
+    paths = build_path_table(inst)
+    nodes = [node for node in range(18) if inst.survival_prob[node] < 1.0]
+    scored = []
+    for size in range(8):
+        for attacked in itertools.combinations(nodes, size):
+            attack = AttackVector.from_nodes(attacked, 18)
+            scored.append((objective_tree(inst, paths, attack), attack.flags))
+    best_value, best_flags = min(scored)
+    attack, value = exhaustive_solve(inst)
+    assert (attack.flags, value) == (best_flags, best_value)
+    assert vectors.index(best_flags) >= 16384
+    assert sum(found == best_value for found, _ in scored) > 1
 
 
 def test_exhaustive_solve_tie_break_is_lexicographic():
