@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from scnptree.evaluator import objective_tree
-from scnptree.instance import AttackVector, TreeInstance, build_path_table, rooted
+from scnptree.instance import AttackVector, TreeInstance, build_path_table, has_unit_connection_costs, rooted
 
 # Largest state bound n*n*K*mu that dp_solve accepts.
 STATE_CAP = 1_000_000_000
@@ -92,9 +92,7 @@ class _Table(NamedTuple):
 def _require_unit_costs(instance: TreeInstance) -> None:
     if any(k != 1.0 for k in instance.attack_cost):
         raise NonUnitCosts("attack costs must all equal 1")
-    if instance.connection_cost is not None and any(
-        c != 1.0 for c in instance.connection_cost.values()
-    ):
+    if not has_unit_connection_costs(instance):
         raise NonUnitCosts("connection costs must all equal 1")
 
 

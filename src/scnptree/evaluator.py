@@ -4,29 +4,43 @@ Path survival products come from one kernel: ``_upward_into`` builds a
 table of upward products and ``_products_into`` multiplies two of its rows
 per pair.  ``pair_survival`` runs it once on all rows and pairs, and
 ``pair_values`` (the cut loop's, summed by ``objective_tree``) weights its
-products by pair cost.  ``batch_objective`` runs it in blocks: one table
-per block of rows, read by blocks of pairs, so its scratch stays
-cache-sized whatever the batch.  ``exhaustive_solve`` minimizes
-``batch_objective`` over ``instance.attackable_nodes``.
-``objective_scenarios`` shares no code with it: it enumerates the outcomes
-of the attacked set on any graph, and the tests hold the kernel to it.
+products by pair cost.  ``batch_objective`` evaluates many attacks in row
+blocks by one of two routes, picked by ``has_unit_connection_costs``.
+When every pair costs 1, subtree sums over ``PathTable.bottom_up`` take
+O(n) work per row.  Otherwise the kernel runs once per row block, read by
+blocks of pairs, O(n^2) work per row.  The kernel is the independent
+reference the tests hold the subtree sums to.  ``exhaustive_solve``
+minimizes ``batch_objective`` over ``instance.attackable_nodes``.
+``objective_scenarios`` shares no code with either: it enumerates the
+outcomes of the attacked set on any graph, and the tests hold the kernel
+to it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator
 
 import numpy as np
 
-from scnptree.instance import BUDGET_SLACK, AttackVector, PathTable, TreeInstance, attackable_nodes, build_path_table
+from scnptree.instance import (
+    BUDGET_SLACK,
+    AttackVector,
+    PathTable,
+    TreeInstance,
+    attackable_nodes,
+    build_path_table,
+    has_unit_connection_costs,
+)
 
 
 # batch_objective's block sizes, chosen by timing the benchmark's bulk blocks
-_TABLE_FLOATS = 1 << 19  # most floats in the upward table of one row block
+_TABLE_FLOATS = 1 << 19  # most floats in a row block's upward table, or subtree scratch
 _PRODUCT_FLOATS = 1 << 16  # floats in one pair block's products
 _WIDE_ROWS = 256  # fewest rows per block, where the table allows as many
+_TIE = 1e-12  # relative gap within which exhaustive_solve counts values as tied
 
 
 class TooManyAttackedNodes(ValueError):
@@ -64,19 +78,28 @@ def _flag_rows(instance: TreeInstance, flag_rows: np.ndarray) -> np.ndarray:
 
 def _upward_into(instance: TreeInstance, paths: PathTable, rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Build the upward table of ``rows`` in ``scratch`` (``paths.levels *
-    n * len(rows)`` floats) and return it as a (levels * n, batch) view.
-    Batch last: every gather from it copies contiguous rows of the batch.
-    ``mode="clip"`` lets ``np.take`` write straight into ``out`` (the
-    default ``mode="raise"`` buffers it); every index is in range."""
-    upward = scratch.reshape(paths.levels, instance.node_count, len(rows))
+    n`` floats per column: one column per row, then any padding) and return
+    it as a (levels * n, columns) view.  Columns last: every gather from it
+    copies contiguous runs of the batch.  ``mode="clip"`` lets ``np.take``
+    write straight into ``out`` (the default ``mode="raise"`` buffers it);
+    every index is in range."""
+    columns = len(scratch) // (paths.levels * instance.node_count)
+    upward = scratch.reshape(paths.levels, instance.node_count, columns)
     upward[0] = 1.0
-    factors = upward[1]
-    np.multiply(rows.T, np.subtract(instance.survival_prob, 1.0)[:, None], out=factors)
-    factors += 1.0
+    factors = _factors_into(instance, rows, upward[1])
     for k in range(2, paths.levels):
         np.take(upward[k - 1], paths.parent, axis=0, out=upward[k], mode="clip")
         upward[k] *= factors
-    return upward.reshape(-1, len(rows))
+    return upward.reshape(paths.levels * instance.node_count, columns)
+
+
+def _factors_into(instance: TreeInstance, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Survival factors 1 - (1 - p) v into ``out``, nodes by columns; the
+    columns past the rows are padding and get 1, as if nothing were hit."""
+    np.multiply(rows.T, np.subtract(instance.survival_prob, 1.0)[:, None], out=out[:, : len(rows)])
+    out[:, len(rows) :] = 0.0
+    out += 1.0
+    return out
 
 
 def _products_into(table: np.ndarray, slots: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -89,10 +112,10 @@ def _products_into(table: np.ndarray, slots: np.ndarray, first: np.ndarray, seco
 
 
 def pair_costs(instance: TreeInstance, paths: PathTable) -> np.ndarray:
-    """Connection cost of every pair in ``paths.pairs()`` order."""
-    if instance.connection_cost is None:
-        return np.ones(paths.slots.shape[1])
-    return np.array([instance.connection_cost.get(pair, 1.0) for pair in paths.pairs()])
+    """Connection cost of every pair in ``paths.pairs()`` order, which
+    depends only on n: the instance's read-only ``pair_cost_array``, built
+    once per instance."""
+    return instance.pair_cost_array
 
 
 def pair_values(instance: TreeInstance, paths: PathTable, attack: AttackVector) -> np.ndarray:
@@ -211,70 +234,145 @@ def feasible_attack_vectors(instance: TreeInstance) -> Iterator[tuple[int, ...]]
 
 
 def batch_objective(instance: TreeInstance, paths: PathTable, flag_rows: np.ndarray) -> np.ndarray:
-    """Objective of many attack vectors at once: cost-weighted row sums of
-    ``pair_survival`` (every row is 0 when n = 1, which has no pairs).
+    """Objective of many attack vectors at once (every row is 0 when n = 1,
+    which has no pairs).
 
-    Rows go in blocks (``_block_shape``), each with one upward table of at
-    most ``_TABLE_FLOATS`` floats.  A block's pairs go in blocks of about
-    ``_PRODUCT_FLOATS`` products, and each adds ``products.T @ costs`` over
-    its pairs to the block's values.  With one pair block, a row's value is
-    that one product, as an unblocked pass would give it.
+    ``has_unit_connection_costs`` picks one of two routes.  When every pair
+    costs 1, ``_subtree_sums_into`` takes O(n) work per row.  Otherwise
+    ``_pair_sums_into`` adds the cost-weighted products of ``pair_survival``,
+    O(n^2) per row.  Rows go in blocks of a multiple of 8, the last padded
+    with unattacked rows, so a row's value does not depend on where it
+    falls in the batch: BLAS's matrix-vector product sums the last rows mod
+    4 of a call in another order, and numpy sums a lone column pairwise.
 
-    One scratch allocation per call holds the table and both product
-    blocks.  Fresh temporaries per block, or several buffers per call, let
-    glibc's dynamic mmap and trim thresholds map, fault and unmap megabytes
-    on call after call."""
+    One scratch allocation per call serves every block.  Fresh temporaries
+    per block, or several buffers per call, let glibc's dynamic mmap and
+    trim thresholds map, fault and unmap megabytes on call after call."""
     rows = _flag_rows(instance, flag_rows)
-    costs = pair_costs(instance, paths)
-    height, pairs = paths.levels * instance.node_count, len(costs)
-    block, width = _block_shape(height, pairs, len(rows))
-    scratch = np.empty(block * (height + 2 * width))
-    values = np.zeros(len(rows))
+    if has_unit_connection_costs(instance):
+        order, steps = paths.bottom_up
+        widest = max((high - low for _, low, high, _, _ in steps), default=0)
+        per_row = 2 * instance.node_count + 5 * widest + 2
+        block = min(_aligned(_TABLE_FLOATS // per_row), _aligned(len(rows), up=True))
+        fill = functools.partial(_subtree_sums_into, instance, order, steps, widest)
+    else:
+        costs = pair_costs(instance, paths)
+        height = paths.levels * instance.node_count
+        block, width = _block_shape(height, len(costs), len(rows))
+        per_row = height + 2 * width
+        fill = functools.partial(_pair_sums_into, instance, paths, costs, width)
+    scratch = np.empty(per_row * block)
+    values = np.empty(len(rows))
     for start in range(0, len(rows), block):
         chunk = rows[start : start + block]
-        batch = len(chunk)
-        table = _upward_into(instance, paths, chunk, scratch[: height * batch])
-        products = scratch[height * batch : (height + 2 * width) * batch].reshape(2, width, batch)
-        for low in range(0, pairs, width):
-            pick = slice(low, low + width)
-            first, second = products[:, : len(costs[pick])]
-            values[start : start + batch] += _products_into(table, paths.slots[:, pick], first, second).T @ costs[pick]
+        fill(chunk, scratch, values[start : start + len(chunk)])
     return values
 
 
+def _aligned(rows: int, up: bool = False) -> int:
+    """``rows`` rounded down, or up, to a multiple of 8, and at least 8."""
+    return max(8, -(-rows // 8) * 8 if up else rows - rows % 8)
+
+
 def _block_shape(height: int, pairs: int, rows: int) -> tuple[int, int]:
-    """(rows per block, pairs per block) for ``batch_objective``, given the
+    """(rows per block, pairs per block) of the pair route, given the
     upward table's floats per row.
 
     A row block is as wide as one pair block holding every pair allows
     (each row then has one sum, as in a single product), but at least
-    ``_WIDE_ROWS``, and its table has at most ``_TABLE_FLOATS`` floats.
-    Where it can, it is a multiple of 8 rows: BLAS sums the last rows mod
-    4 of a matrix-vector product in another order, so aligned blocks keep
-    a row's value independent of the block it falls in, bar the last.
+    ``_WIDE_ROWS``, and its table has at most ``_TABLE_FLOATS`` floats;
+    then a multiple of 8 (at least 8), and no wider than ``rows`` needs.
+    The pairs per block follow from the widest block, whatever ``rows``
+    is, so every row is summed over the same pair blocks.
     """
-    fit = min(_TABLE_FLOATS // height, max(_PRODUCT_FLOATS // max(1, pairs), _WIDE_ROWS))
-    block = max(1, min(rows, fit - fit % 8 or fit))
-    return block, max(1, min(pairs, _PRODUCT_FLOATS // block))
+    fit = _aligned(min(_TABLE_FLOATS // height, max(_PRODUCT_FLOATS // max(1, pairs), _WIDE_ROWS)))
+    return min(fit, _aligned(rows, up=True)), max(1, min(pairs, _PRODUCT_FLOATS // fit))
+
+
+def _pair_sums_into(instance, paths, costs, width, rows, scratch, out) -> None:
+    """Cost-weighted row sums of ``pair_survival`` into ``out``.
+
+    One upward table for the block, padded to a multiple of 8 columns, is
+    read by blocks of ``width`` pairs, each adding ``products.T @ costs``
+    over its pairs.  With one pair block, a row's value is that one
+    product, as an unblocked pass would give it.
+    """
+    height, columns = paths.levels * instance.node_count, _aligned(len(rows), up=True)
+    table = _upward_into(instance, paths, rows, scratch[: height * columns])
+    products = scratch[height * columns : (height + 2 * width) * columns].reshape(2, width, columns)
+    out[:] = 0.0
+    for low in range(0, len(costs), width):
+        pick = slice(low, low + width)
+        first, second = products[:, : len(costs[pick])]
+        out += (_products_into(table, paths.slots[:, pick], first, second).T @ costs[pick])[: len(rows)]
+
+
+def _subtree_sums_into(instance, order, steps, widest, rows, scratch, out) -> None:
+    """Unit-cost objective of ``rows`` into ``out``, by the steps of
+    ``PathTable.bottom_up``.
+
+    s(x) = f_x (1 + S_x), S_x the sum of s over x's children, is the
+    expected number of nodes joined to x within its subtree.  The pairs
+    whose top node is x add f_x (S_x + P_x), P_x the sum of s(c) s(c')
+    over pairs of x's children, to a per-node table whose column sums are
+    the values.  A step adds its children run by run (every ranked
+    parent's first child, then the second ones, ...), each run to a prefix
+    of the ranked parents' S and P, then gathers them to the parents with
+    a zero row in front for the childless.  No division: p = 0 stays exact.
+    """
+    if not steps:
+        out[:] = 0.0
+        return
+    n, columns = instance.node_count, _aligned(len(rows), up=True)
+    layout = scratch[: (2 * n + 5 * widest + 2) * columns].reshape(-1, columns)
+    s, terms, sums, pair_sums, spare, total, pair_total = np.split(
+        layout, np.cumsum([n, n, widest + 1, widest + 1, widest, widest])
+    )
+    np.take(_factors_into(instance, rows, terms), order, axis=0, out=s, mode="clip")
+    sums[0] = pair_sums[0] = 0.0
+    for below, low, high, ranks, picks in steps:
+        np.copyto(sums[1 : ranks[0] + 1], s[below : below + ranks[0]])
+        pair_sums[1 : ranks[0] + 1] = 0.0
+        start = below + ranks[0]
+        for size in ranks[1:]:
+            run, head, pairs = s[start : start + size], sums[1 : size + 1], pair_sums[1 : size + 1]
+            pairs += np.multiply(head, run, out=spare[:size])
+            head += run
+            start += size
+        child_sum = np.take(sums, picks, axis=0, out=total[: high - low], mode="clip")
+        pair_sum = np.take(pair_sums, picks, axis=0, out=pair_total[: high - low], mode="clip")
+        factors = s[low:high]
+        pair_sum += child_sum
+        np.multiply(pair_sum, factors, out=terms[low:high])
+        child_sum += 1.0
+        factors *= child_sum
+    np.add.reduce(terms[steps[0][1] :], axis=0, out=spare[0])
+    out[:] = spare[0, : len(rows)]
 
 
 def exhaustive_solve(instance: TreeInstance) -> tuple[AttackVector, float]:
     """Minimize over every feasible attack vector.
 
     Enumeration skips nodes no feasible attack can hit, prunes on the
-    budget, and breaks value ties by the lexicographically smallest flag
-    tuple (the enumeration order), evaluating batches of 16 384.
+    budget, and evaluates batches of 16 384.  Value ties go to the
+    lexicographically smallest flag tuple (the enumeration order), which is
+    returned with its own value.  Values within ``_TIE`` of the least,
+    relative, count as tied: attacks of equal objective, such as mirror
+    images, can differ in the last bits by the order a route sums in.
     """
     paths = build_path_table(instance)
-    best_value = math.inf
-    best_flags: tuple[int, ...] | None = None
+    best = math.inf
+    # each vector within the limit and below every earlier one: any other
+    # is within the final limit only if an earlier record is too
+    records: list[tuple[float, tuple[int, ...]]] = []
     vectors = feasible_attack_vectors(instance)
     while chunk := list(itertools.islice(vectors, 16384)):
         values = batch_objective(instance, paths, np.array(chunk, dtype=float))
-        index = int(np.argmin(values))
-        if values[index] < best_value:
-            best_value = float(values[index])
-            best_flags = chunk[index]
-
-    assert best_flags is not None  # the empty attack is always feasible
-    return AttackVector(best_flags), best_value
+        best = min(best, float(values.min()))
+        limit = best + _TIE * max(1.0, best)
+        for index in np.flatnonzero(values <= limit).tolist():
+            if not records or values[index] < records[-1][0]:
+                records.append((float(values[index]), chunk[index]))
+    # the empty attack is always feasible, so some record is within the limit
+    value, flags = next(record for record in records if record[0] <= limit)
+    return AttackVector(flags), value

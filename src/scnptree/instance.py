@@ -4,12 +4,13 @@ Node indices are 0-based contiguous integers.  Connection costs are kept
 sparse: ``None`` means "all pairs cost 1", otherwise a mapping from ordered
 pairs (i, j) with i < j to nonnegative floats, with unlisted pairs
 defaulting to 1.  Instances and path tables are immutable after
-construction (a path table builds its node sequences once, on first use)
-and safe to share across threads.
+construction and safe to share across threads.  Derived arrays are built
+once, on first use: an instance's dense pair costs, and a path table's
+node sequences and bottom-up pass.
 
 Every method reads one tree walk, ``rooted``, one normaliser of raw
-fields, ``make_instance``, and one attack rule, ``attackable_nodes`` and
-``max_attacks``.
+fields, ``make_instance``, one attack rule, ``attackable_nodes`` and
+``max_attacks``, and one unit-cost test, ``has_unit_connection_costs``.
 """
 
 from __future__ import annotations
@@ -88,6 +89,18 @@ class TreeInstance:
             return 1.0
         return self.connection_cost.get(normalize_pair(i, j), 1.0)
 
+    @cached_property
+    def pair_cost_array(self) -> np.ndarray:
+        """Read-only connection cost of every pair (i, j), i < j, in
+        lexicographic order, the order of ``PathTable.pairs()``."""
+        n = self.node_count
+        costs = np.ones(n * (n - 1) // 2)
+        if self.connection_cost:
+            i, j = np.array(list(self.connection_cost), dtype=np.intp).T
+            costs[i * (2 * n - i - 1) // 2 + j - i - 1] = list(self.connection_cost.values())
+        costs.flags.writeable = False
+        return costs
+
     def adjacency(self) -> list[list[int]]:
         """Sorted adjacency lists (recomputed; instances are immutable)."""
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -110,6 +123,11 @@ class TreeInstance:
             for cost in self.connection_cost.values():
                 total += cost - 1.0
         return total
+
+
+def has_unit_connection_costs(instance: TreeInstance) -> bool:
+    """Whether every pair costs 1, listed or not."""
+    return instance.connection_cost is None or all(c == 1.0 for c in instance.connection_cost.values())
 
 
 def rooted(instance: TreeInstance, root: int = 0) -> tuple[list[int], list[int]]:
@@ -259,6 +277,41 @@ class PathTable:
             (i, j): tuple(chains[i][:up] + chains[j][down - 1 :: -1])
             for (i, j), (up, down) in zip(self.pairs(), runs)
         }
+
+    @cached_property
+    def bottom_up(self) -> tuple[np.ndarray, tuple[tuple[int, int, int, tuple[int, ...], np.ndarray], ...]]:
+        """Node order and steps of a pass from the deepest nodes to the root.
+
+        ``order`` lists the nodes by depth, deepest first.  Step (below,
+        low, high, ranks, picks) joins the nodes at ``order[low:high]`` to
+        their children at ``order[below:low]``.  The parents with children
+        are ranked by child count, most first, ties by position; the
+        children come as every ranked parent's first child, then the second
+        child of each parent with two or more, and so on, ``ranks`` giving
+        each run's length.  ``picks`` holds, per node, 1 + its rank, or 0
+        if it has no children.  Steps run deepest first.
+        """
+        parent = self.parent.tolist()
+        children: list[list[int]] = [[] for _ in range(self.node_count)]
+        for node, up in enumerate(parent):
+            if up != node:
+                children[up].append(node)
+        levels, steps = [[0]], []  # levels from the root down
+        while ranked := sorted((node for node in levels[-1] if children[node]), key=lambda node: -len(children[node])):
+            runs = [
+                [children[node][r] for node in ranked if len(children[node]) > r]
+                for r in range(len(children[ranked[0]]))
+            ]
+            rank = {node: r for r, node in enumerate(ranked, 1)}
+            picks = np.array([rank.get(node, 0) for node in levels[-1]], dtype=np.intp)
+            steps.append((tuple(map(len, runs)), picks))
+            levels.append([child for run in runs for child in run])
+        order = np.array([node for level in reversed(levels) for node in level], dtype=np.intp)
+        bounds = np.cumsum([len(level) for level in reversed(levels)]).tolist()
+        return order, tuple(
+            (below, low, high, ranks, picks)
+            for below, low, high, (ranks, picks) in zip([0] + bounds, bounds, bounds[1:], reversed(steps))
+        )
 
     def path(self, i: int, j: int) -> tuple[int, ...]:
         """Node sequence of the unique i-j path, oriented from min(i,j)."""

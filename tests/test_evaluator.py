@@ -137,9 +137,9 @@ def test_batch_objective_matches_single_route(case):
 
 
 def test_single_routes_after_a_chunked_batch():
-    # 7140 pairs at n = 120: the 100 rows form one row block whose pairs
-    # pass in eleven blocks of at most 655, all through one scratch buffer;
-    # no result handed out may share it
+    # 7140 pairs at n = 120: the 100 rows form one row block, padded to
+    # 104, whose pairs pass in 28 blocks of at most 256, all through one
+    # scratch buffer; no result handed out may share it
     rng = np.random.default_rng(9)
     inst = oracles.random_tree_instance(rng, 120, "weighted")
     paths = build_path_table(inst)
@@ -231,6 +231,86 @@ def test_batch_objective_allocates_one_scratch_buffer():
     assert peak <= scratch + 8 * len(paths.slots[0]) + 3 * flags.size + 64 * len(flags) + 16384
 
 
+def test_pair_route_allocates_one_scratch_buffer():
+    # the weighted twin of the test above: the pair costs are built once,
+    # by the first call, so the second allocates only its scratch, the 0/1
+    # check's masks and per-row values
+    inst = generate_instance(200, "type1", 5)
+    paths = build_path_table(inst)
+    flags = (np.random.default_rng(5).uniform(size=(256, 200)) < 0.1).astype(np.uint8)
+    block, width = evaluator._block_shape(paths.levels * 200, len(paths.slots[0]), len(flags))
+    scratch = 8 * block * (paths.levels * 200 + 2 * width)
+    batch_objective(inst, paths, flags)
+    tracemalloc.start()
+    try:
+        batch_objective(inst, paths, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= scratch + 3 * flags.size + 64 * len(flags) + 16384
+
+
+@pytest.mark.parametrize("scheme", ["unit", "type1"])
+def test_row_values_do_not_depend_on_the_chunking(scheme):
+    # one call on 4859 rows (a ragged last block), then the same rows in
+    # calls of 1, 5, 13, 1, 5, 13, ..., 4099 rows: padding every block to
+    # a multiple of 8 rows keeps each row's sums in one order
+    inst = generate_instance(40, scheme, 3)
+    paths = build_path_table(inst)
+    flags = (np.random.default_rng(12).uniform(size=(4859, 40)) < 0.2).astype(np.uint8)
+    whole = batch_objective(inst, paths, flags)
+    bounds = np.cumsum([0] + [1, 5, 13] * 40 + [4099])
+    assert bounds[-1] == len(flags)
+    pieces = [batch_objective(inst, paths, flags[low:high]) for low, high in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(pieces), whole)
+
+
+@st.composite
+def unit_batches(draw):
+    """A unit-cost tree of 1 to 60 nodes (random, path or star, labels
+    shuffled so the root falls anywhere), p drawn from {0, 1} and (0, 1),
+    and 0 to 20 rows of random flags."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("random", "path", "star")))
+    if shape == "random":
+        edges = oracles.random_tree_instance(rng, n).edges
+    else:
+        edges = [(0 if shape == "star" else v - 1, v) for v in range(1, n)]
+    label = rng.permutation(n)
+    p = np.where(rng.uniform(size=n) < 0.3, rng.integers(0, 2, size=n), rng.uniform(size=n))
+    inst = make_instance(n, [(label[u], label[v]) for u, v in edges], p, [1.0] * n, None, float(n))
+    rows = (rng.uniform(size=(draw(st.integers(0, 20)), n)) < 0.4).astype(np.uint8)
+    return inst, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_batches())
+def test_subtree_sums_match_the_pair_route(batch):
+    inst, rows = batch
+    paths = build_path_table(inst)
+    values = batch_objective(inst, paths, rows)
+    assert values.shape == (len(rows),)
+    np.testing.assert_allclose(values, pair_survival(inst, paths, rows) @ pair_costs(inst, paths), rtol=1e-12, atol=0.0)
+    if inst.node_count <= 8:
+        for row, value in zip(rows, values):
+            assert value == pytest.approx(oracles.expected_pair_connectivity(inst, row), abs=1e-9)
+
+
+def test_pair_costs_are_built_once_per_instance():
+    inst, _ = _path_case()
+    paths = build_path_table(inst)
+    costs = pair_costs(inst, paths)
+    assert costs.tolist() == [inst.connection_cost.get(pair, 1.0) for pair in paths.pairs()]
+    assert costs[list(paths.pairs()).index((0, 1))] == 1.0  # unlisted
+    assert not costs.flags.writeable
+    with pytest.raises(ValueError):
+        costs[0] = 5.0
+    assert pair_costs(inst, paths) is costs
+    unit = generate_instance(7, "unit", 1)
+    assert pair_costs(unit, build_path_table(unit)).tolist() == [1.0] * 21
+
+
 def test_feasible_attack_vectors_lexicographic_and_complete():
     inst = make_instance(3, [(0, 1), (1, 2)], [0.5, 1.0, 0.5], [1.0, 1.0, 1.0], None, 2.0)
     vectors = list(feasible_attack_vectors(inst))
@@ -303,6 +383,21 @@ def test_exhaustive_solve_across_chunks_matches_brute_force():
     assert (attack.flags, value) == (best_flags, best_value)
     assert vectors.index(best_flags) >= 16384
     assert sum(found == best_value for found, _ in scored) > 1
+
+
+@pytest.mark.parametrize("costs", [None, {(0, 3): 2.0, (1, 2): 3.0}], ids=["unit", "weighted"])
+def test_exhaustive_solve_ties_mirror_images(costs):
+    # {0, 1, 3} and its mirror image {0, 2, 3} are the best affordable
+    # attacks on this symmetric path; either route can sum them to values
+    # that differ in the last bits (both do with OpenBLAS on x86-64), and
+    # the tie still goes to the lexicographically smaller flag tuple
+    inst = make_instance(4, [(0, 1), (1, 2), (2, 3)], [0.9, 0.2, 0.2, 0.9], [0.2, 0.5, 0.6, 0.2], costs, 1.0)
+    paths = build_path_table(inst)
+    mirrored = batch_objective(inst, paths, np.array([(1, 0, 1, 1), (1, 1, 0, 1)]))
+    assert mirrored[0] == pytest.approx(mirrored[1], rel=1e-15)
+    attack, value = exhaustive_solve(inst)
+    assert attack.flags == (1, 0, 1, 1)
+    assert value == mirrored[0]
 
 
 def test_exhaustive_solve_tie_break_is_lexicographic():
