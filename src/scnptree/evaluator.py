@@ -37,7 +37,7 @@ from scnptree.instance import (
 
 
 # batch_objective's block sizes, chosen by timing the benchmark's bulk blocks
-_TABLE_FLOATS = 1 << 19  # most floats in a row block's upward table, or subtree scratch
+_TABLE_FLOATS = 1 << 19  # most floats in a row block's upward table or subtree scratch, bar one row's
 _PRODUCT_FLOATS = 1 << 16  # floats in one pair block's products
 _WIDE_ROWS = 256  # fewest rows per block, where the table allows as many
 _TIE = 1e-12  # relative gap within which exhaustive_solve counts values as tied
@@ -96,7 +96,8 @@ def _upward_into(instance: TreeInstance, paths: PathTable, rows: np.ndarray, scr
 def _factors_into(instance: TreeInstance, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Survival factors 1 - (1 - p) v into ``out``, nodes by columns; the
     columns past the rows are padding and get 1, as if nothing were hit."""
-    np.multiply(rows.T, np.subtract(instance.survival_prob, 1.0)[:, None], out=out[:, : len(rows)])
+    np.copyto(out[:, : len(rows)], rows.T)
+    out[:, : len(rows)] *= np.subtract(instance.survival_prob, 1.0)[:, None]
     out[:, len(rows) :] = 0.0
     out += 1.0
     return out
@@ -241,9 +242,10 @@ def batch_objective(instance: TreeInstance, paths: PathTable, flag_rows: np.ndar
     costs 1, ``_subtree_sums_into`` takes O(n) work per row.  Otherwise
     ``_pair_sums_into`` adds the cost-weighted products of ``pair_survival``,
     O(n^2) per row.  Rows go in blocks of a multiple of 8, the last padded
-    with unattacked rows, so a row's value does not depend on where it
-    falls in the batch: BLAS's matrix-vector product sums the last rows mod
-    4 of a call in another order, and numpy sums a lone column pairwise.
+    with unattacked rows, or one by one where 8 do not fit ``_TABLE_FLOATS``,
+    so a row's value does not depend on where it falls in the batch: BLAS's
+    matrix-vector product sums the last rows mod 4 of a call in another
+    order, and numpy sums a lone column pairwise.
 
     One scratch allocation per call serves every block.  Fresh temporaries
     per block, or several buffers per call, let glibc's dynamic mmap and
@@ -253,7 +255,7 @@ def batch_objective(instance: TreeInstance, paths: PathTable, flag_rows: np.ndar
         order, steps = paths.bottom_up
         widest = max((high - low for _, low, high, _, _ in steps), default=0)
         per_row = 2 * instance.node_count + 5 * widest + 2
-        block = min(_aligned(_TABLE_FLOATS // per_row), _aligned(len(rows), up=True))
+        block = _block_rows(_TABLE_FLOATS // per_row, len(rows))
         fill = functools.partial(_subtree_sums_into, instance, order, steps, widest)
     else:
         costs = pair_costs(instance, paths)
@@ -263,15 +265,19 @@ def batch_objective(instance: TreeInstance, paths: PathTable, flag_rows: np.ndar
         fill = functools.partial(_pair_sums_into, instance, paths, costs, width)
     scratch = np.empty(per_row * block)
     values = np.empty(len(rows))
+    step = min(block, 8)  # columns per chunk: a multiple of 8, or one lone row
     for start in range(0, len(rows), block):
         chunk = rows[start : start + block]
-        fill(chunk, scratch, values[start : start + len(chunk)])
+        fill(chunk, -(-len(chunk) // step) * step, scratch, values[start : start + len(chunk)])
     return values
 
 
-def _aligned(rows: int, up: bool = False) -> int:
-    """``rows`` rounded down, or up, to a multiple of 8, and at least 8."""
-    return max(8, -(-rows // 8) * 8 if up else rows - rows % 8)
+def _block_rows(fit: int, rows: int) -> int:
+    """Rows per block when ``fit`` rows fit one: ``fit`` rounded down to
+    a multiple of 8, but no more than ``rows`` rounded up to one; or 1
+    where fewer than 8 fit, as on deep trees, so that no block's scratch
+    outgrows ``_TABLE_FLOATS`` floats or one row's."""
+    return 1 if fit < 8 else min(fit - fit % 8, max(8, -(-rows // 8) * 8))
 
 
 def _block_shape(height: int, pairs: int, rows: int) -> tuple[int, int]:
@@ -281,23 +287,23 @@ def _block_shape(height: int, pairs: int, rows: int) -> tuple[int, int]:
     A row block is as wide as one pair block holding every pair allows
     (each row then has one sum, as in a single product), but at least
     ``_WIDE_ROWS``, and its table has at most ``_TABLE_FLOATS`` floats;
-    then a multiple of 8 (at least 8), and no wider than ``rows`` needs.
-    The pairs per block follow from the widest block, whatever ``rows``
-    is, so every row is summed over the same pair blocks.
+    ``_block_rows`` then rounds it.  The pairs per block follow from the
+    widest block, whatever ``rows`` is, so every row is summed over the
+    same pair blocks.
     """
-    fit = _aligned(min(_TABLE_FLOATS // height, max(_PRODUCT_FLOATS // max(1, pairs), _WIDE_ROWS)))
-    return min(fit, _aligned(rows, up=True)), max(1, min(pairs, _PRODUCT_FLOATS // fit))
+    fit = min(_TABLE_FLOATS // height, max(_PRODUCT_FLOATS // max(1, pairs), _WIDE_ROWS))
+    return _block_rows(fit, rows), max(1, min(pairs, _PRODUCT_FLOATS // _block_rows(fit, fit)))
 
 
-def _pair_sums_into(instance, paths, costs, width, rows, scratch, out) -> None:
+def _pair_sums_into(instance, paths, costs, width, rows, columns, scratch, out) -> None:
     """Cost-weighted row sums of ``pair_survival`` into ``out``.
 
-    One upward table for the block, padded to a multiple of 8 columns, is
-    read by blocks of ``width`` pairs, each adding ``products.T @ costs``
-    over its pairs.  With one pair block, a row's value is that one
-    product, as an unblocked pass would give it.
+    One upward table for the block, ``columns`` wide (the rows, then
+    padding), is read by blocks of ``width`` pairs, each adding
+    ``products.T @ costs`` over its pairs.  With one pair block, a row's
+    value is that one product, as an unblocked pass would give it.
     """
-    height, columns = paths.levels * instance.node_count, _aligned(len(rows), up=True)
+    height = paths.levels * instance.node_count
     table = _upward_into(instance, paths, rows, scratch[: height * columns])
     products = scratch[height * columns : (height + 2 * width) * columns].reshape(2, width, columns)
     out[:] = 0.0
@@ -307,9 +313,9 @@ def _pair_sums_into(instance, paths, costs, width, rows, scratch, out) -> None:
         out += (_products_into(table, paths.slots[:, pick], first, second).T @ costs[pick])[: len(rows)]
 
 
-def _subtree_sums_into(instance, order, steps, widest, rows, scratch, out) -> None:
+def _subtree_sums_into(instance, order, steps, widest, rows, columns, scratch, out) -> None:
     """Unit-cost objective of ``rows`` into ``out``, by the steps of
-    ``PathTable.bottom_up``.
+    ``PathTable.bottom_up``, on ``columns`` columns (the rows, then padding).
 
     s(x) = f_x (1 + S_x), S_x the sum of s over x's children, is the
     expected number of nodes joined to x within its subtree.  The pairs
@@ -323,7 +329,7 @@ def _subtree_sums_into(instance, order, steps, widest, rows, scratch, out) -> No
     if not steps:
         out[:] = 0.0
         return
-    n, columns = instance.node_count, _aligned(len(rows), up=True)
+    n = instance.node_count
     layout = scratch[: (2 * n + 5 * widest + 2) * columns].reshape(-1, columns)
     s, terms, sums, pair_sums, spare, total, pair_total = np.split(
         layout, np.cumsum([n, n, widest + 1, widest + 1, widest, widest])
@@ -357,8 +363,9 @@ def exhaustive_solve(instance: TreeInstance) -> tuple[AttackVector, float]:
     budget, and evaluates batches of 16 384.  Value ties go to the
     lexicographically smallest flag tuple (the enumeration order), which is
     returned with its own value.  Values within ``_TIE`` of the least,
-    relative, count as tied: attacks of equal objective, such as mirror
-    images, can differ in the last bits by the order a route sums in.
+    relative to it, count as tied (a least value of 0 ties only with 0):
+    attacks of equal objective, such as mirror images, can differ in the
+    last bits by the order a route sums in.
     """
     paths = build_path_table(instance)
     best = math.inf
@@ -369,7 +376,7 @@ def exhaustive_solve(instance: TreeInstance) -> tuple[AttackVector, float]:
     while chunk := list(itertools.islice(vectors, 16384)):
         values = batch_objective(instance, paths, np.array(chunk, dtype=float))
         best = min(best, float(values.min()))
-        limit = best + _TIE * max(1.0, best)
+        limit = best + _TIE * best
         for index in np.flatnonzero(values <= limit).tolist():
             if not records or values[index] < records[-1][0]:
                 records.append((float(values[index]), chunk[index]))

@@ -250,6 +250,54 @@ def test_pair_route_allocates_one_scratch_buffer():
     assert peak <= scratch + 3 * flags.size + 64 * len(flags) + 16384
 
 
+def test_subtree_route_allocates_one_scratch_buffer():
+    # the bound of the unit case above comes from the pair route; this one
+    # from the subtree route's own scratch, 2n + 5 * widest + 2 floats per
+    # row of a block (1 032 rows here, two blocks), so a second buffer or a
+    # fresh gather per step exceeds it.  Copying the transposed flags into
+    # the scratch takes one numpy cast buffer.
+    inst = generate_instance(200, "unit", 5)
+    paths = build_path_table(inst)
+    flags = (np.random.default_rng(5).uniform(size=(2048, 200)) < 0.1).astype(np.uint8)
+    widest = max(high - low for _, low, high, _, _ in paths.bottom_up[1])
+    per_row = 2 * 200 + 5 * widest + 2
+    block = evaluator._TABLE_FLOATS // per_row // 8 * 8
+    assert block < len(flags) <= 2 * block
+    batch_objective(inst, paths, flags)
+    tracemalloc.start()
+    try:
+        batch_objective(inst, paths, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(8 * block * per_row + 8 * np.getbufsize(), 3 * flags.size) + 8 * len(flags) + 16384
+
+
+def test_deep_trees_take_one_row_per_block():
+    # an 800-node path: one row's upward table (801 * 800 floats) outgrows
+    # _TABLE_FLOATS, so blocks hold one row, unpadded, and the scratch is
+    # that table plus two pair blocks, not eight rows' worth.  np.take
+    # copies each read-only block of slots it is given: one more pair block.
+    n = 800
+    inst = make_instance(n, [(v - 1, v) for v in range(1, n)], [0.5] * n, [1.0] * n, {(0, n - 1): 2.0}, 3.0)
+    paths = build_path_table(inst)
+    pairs = n * (n - 1) // 2
+    assert evaluator._block_shape(paths.levels * n, pairs, 3) == (1, evaluator._PRODUCT_FLOATS)
+    flags = np.zeros((3, n), np.uint8)
+    flags[0, 400] = flags[1, [0, 799]] = 1
+    values = batch_objective(inst, paths, flags)
+    tracemalloc.start()
+    try:
+        again = batch_objective(inst, paths, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (paths.levels * n + 3 * evaluator._PRODUCT_FLOATS) + 3 * flags.size + 16384
+    assert np.array_equal(again, values)
+    assert np.array_equal(np.concatenate([batch_objective(inst, paths, row[None]) for row in flags]), values)
+    assert values[2] == pytest.approx(pairs + 1.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("scheme", ["unit", "type1"])
 def test_row_values_do_not_depend_on_the_chunking(scheme):
     # one call on 4859 rows (a ragged last block), then the same rows in
@@ -398,6 +446,22 @@ def test_exhaustive_solve_ties_mirror_images(costs):
     attack, value = exhaustive_solve(inst)
     assert attack.flags == (1, 0, 1, 1)
     assert value == mirrored[0]
+
+
+@pytest.mark.parametrize(
+    "costs, p, budget, best",
+    [(1e-14, 0.5, 1.0, (0, 1, 0)), (1.0, 1e-13, 3.0, (1, 1, 1))],
+    ids=["tiny-costs", "tiny-p"],
+)
+def test_exhaustive_solve_minimises_tiny_objectives(costs, p, budget, best):
+    # every value here is far below 1, so a tie margin that is not purely
+    # relative to the least value would take the first enumerated attack
+    pairs = [(0, 1, costs), (0, 2, costs), (1, 2, costs)]
+    inst = make_instance(3, [(0, 1), (1, 2)], [p] * 3, [1.0] * 3, pairs, budget)
+    attack, value = exhaustive_solve(inst)
+    assert attack.flags == best
+    assert value == pytest.approx(objective_tree(inst, build_path_table(inst), attack), rel=1e-12)
+    assert oracles.brute_force_optimum(inst)[0] == best
 
 
 def test_exhaustive_solve_tie_break_is_lexicographic():
