@@ -4,9 +4,13 @@ Node indices are 0-based contiguous integers.  Connection costs are kept
 sparse: ``None`` means "all pairs cost 1", otherwise a mapping from ordered
 pairs (i, j) with i < j to nonnegative floats, with unlisted pairs
 defaulting to 1.  Instances and path tables are immutable after
-construction and safe to share across threads.  Derived arrays are built
-once, on first use: an instance's dense pair costs, and a path table's
-node sequences and bottom-up pass.
+construction and safe to share across threads: two threads that first read
+a derived array at once build identical arrays twice.  Derived arrays are
+built once, on first use: an instance's dense pair costs (O(n^2)), and a
+path table's pair ``slots`` (O(n^2) memory; O(n^2) time, O(n^3) on
+path-shaped trees), node sequences (O(n^3) on path-shaped trees) and
+bottom-up pass (O(n log n)).  ``build_path_table`` itself does O(n) work: one
+walk, with parents, depths and subtree sizes.
 
 Every method reads one tree walk, ``rooted``, one normaliser of raw
 fields, ``make_instance``, one attack rule, ``attackable_nodes`` and
@@ -241,26 +245,58 @@ def validate(instance: TreeInstance) -> TreeInstance:
 
 @dataclass(frozen=True, eq=False)
 class PathTable:
-    """The index arrays of every pair's path survival product.
+    """The rooted tree and the index arrays of every pair's path survival
+    product.
 
     The tree is rooted at node 0.  ``parent`` maps each node to its parent
-    (the root to itself) and ``levels`` is the height plus two.  Pairs
-    (i, j) with i < j are taken in lexicographic order, the column order of
-    ``evaluator.pair_survival`` and of every per-pair array, such as
-    ``evaluator.pair_values`` and the cut loop's z columns.  A pair's path
-    is two upward runs: from i to just below the lowest common ancestor,
-    and from j to the ancestor inclusive.  ``slots`` has shape (2, pairs)
-    and holds each run as length * n + start, its position in
+    (the root to itself), ``levels`` is the height plus two, and
+    ``preorder``, ``depth`` and ``size`` hold the walk of ``rooted``, each
+    node's depth and its subtree's node count.  These O(n) arrays are all
+    that ``build_path_table`` builds.
+
+    Pairs (i, j) with i < j are taken in lexicographic order, the column
+    order of ``evaluator.pair_survival`` and of every per-pair array, such
+    as ``evaluator.pair_values`` and the cut loop's z columns.  A pair's
+    path is two upward runs: from i to just below the lowest common
+    ancestor, and from j to the ancestor inclusive.  ``slots`` has shape
+    (2, pairs) and holds each run as length * n + start, its position in
     ``pair_survival``'s flattened upward table.
 
-    ``paths``, the node sequence of every pair, is built from these arrays
-    on first access; the evaluation kernel never reads it.
+    ``slots``, ``paths`` (the node sequence of every pair) and
+    ``bottom_up`` are built on first read.  The unit-cost route of
+    ``evaluator.batch_objective`` reads only ``bottom_up``, so it never
+    pays for the pair arrays.
     """
 
     node_count: int
     parent: np.ndarray = field(repr=False)
     levels: int = field(repr=False)
-    slots: np.ndarray = field(repr=False)
+    preorder: np.ndarray = field(repr=False)
+    depth: np.ndarray = field(repr=False)
+    size: np.ndarray = field(repr=False)
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """Read-only (2, pairs) run positions of every pair's path.
+
+        Each subtree is a contiguous run of the preorder, so one slice
+        assignment per node, parents first, fills the table of lowest
+        common ancestor depths for all pairs at once.
+        """
+        n = self.node_count
+        order, depth, size = self.preorder.tolist(), self.depth.tolist(), self.size.tolist()
+        lca_depth = np.empty((n, n), dtype=np.intp)
+        for pos, node in enumerate(order):
+            stop = pos + size[node]
+            lca_depth[pos:stop, pos:stop] = depth[node]
+        where = np.empty(n, dtype=np.intp)
+        where[order] = np.arange(n)
+        ends = np.array(np.triu_indices(n, 1))
+        # Run lengths up from each end; the second run includes the ancestor.
+        runs = self.depth[ends] - lca_depth[where[ends[0]], where[ends[1]]] + [[0], [1]]
+        slots = runs * n + ends
+        slots.flags.writeable = False
+        return slots
 
     @cached_property
     def paths(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -323,12 +359,9 @@ class PathTable:
 
 
 def build_path_table(instance: TreeInstance) -> PathTable:
-    """Index arrays of every pairwise path from the preorder of ``rooted``.
-
-    Each subtree is a contiguous run of the preorder, so one slice
-    assignment per node, parents first, fills the table of lowest common
-    ancestor depths for all pairs at once.  No node sequence is built.
-    """
+    """The rooted tree of ``rooted``'s walk, in O(n): parents, depths and
+    subtree sizes.  The O(n^2) ``slots`` and the node sequences wait for
+    their first reader."""
     n = instance.node_count
     parent, order = rooted(instance)
     depth = [0] * n
@@ -337,21 +370,13 @@ def build_path_table(instance: TreeInstance) -> PathTable:
     size = [1] * n
     for node in reversed(order[1:]):
         size[parent[node]] += size[node]
+    return PathTable(n, _read_only(parent), max(depth) + 2, _read_only(order), _read_only(depth), _read_only(size))
 
-    lca_depth = np.empty((n, n), dtype=np.intp)
-    for pos, node in enumerate(order):
-        stop = pos + size[node]
-        lca_depth[pos:stop, pos:stop] = depth[node]
-    where = np.empty(n, dtype=np.intp)
-    where[order] = np.arange(n)
-    ends = np.array(np.triu_indices(n, 1))
-    depth_of = np.array(depth, dtype=np.intp)
-    # Run lengths up from each end; the second run includes the ancestor.
-    runs = depth_of[ends] - lca_depth[where[ends[0]], where[ends[1]]] + [[0], [1]]
-    slots = runs * n + ends
-    parent_of = np.array(parent, dtype=np.intp)
-    parent_of.flags.writeable = slots.flags.writeable = False
-    return PathTable(node_count=n, parent=parent_of, levels=max(depth) + 2, slots=slots)
+
+def _read_only(values: list[int]) -> np.ndarray:
+    array = np.array(values, dtype=np.intp)
+    array.flags.writeable = False
+    return array
 
 
 BUDGET_SLACK = 1e-9  # attack cost may exceed the budget by this much

@@ -345,6 +345,75 @@ def test_subtree_sums_match_the_pair_route(batch):
             assert value == pytest.approx(oracles.expected_pair_connectivity(inst, row), abs=1e-9)
 
 
+def _assert_pair_route_matches_a_fresh_table(inst, paths, flags):
+    fresh = build_path_table(inst)
+    assert np.array_equal(paths.slots, fresh.slots)
+    assert np.array_equal(pair_survival(inst, paths, flags), pair_survival(inst, fresh, flags))
+    for row in flags[:4]:
+        attack = AttackVector(tuple(row.tolist()))
+        assert objective_tree(inst, paths, attack) == objective_tree(inst, fresh, attack)
+
+
+def test_unit_cost_evaluation_never_builds_the_pair_slots():
+    inst = generate_instance(30, "unit", 4)
+    flags = (np.random.default_rng(4).uniform(size=(50, 30)) < 0.2).astype(np.uint8)
+    paths = build_path_table(inst)
+    values = batch_objective(inst, paths, flags)
+    assert "slots" not in paths.__dict__
+    _assert_pair_route_matches_a_fresh_table(inst, paths, flags)
+    expected = pair_survival(inst, paths, flags) @ pair_costs(inst, paths)
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+
+
+def test_exhaustive_search_on_unit_costs_never_builds_the_pair_slots(monkeypatch):
+    tables = []
+
+    def recording(instance):
+        tables.append(build_path_table(instance))
+        return tables[-1]
+
+    monkeypatch.setattr(evaluator, "build_path_table", recording)
+    inst = generate_instance(10, "unit", 6)
+    attack, value = exhaustive_solve(inst)
+    (paths,) = tables
+    assert "slots" not in paths.__dict__
+    _assert_pair_route_matches_a_fresh_table(inst, paths, np.array([attack.flags, [0] * 10]))
+    assert value == pytest.approx(objective_tree(inst, paths, attack), rel=1e-12)
+
+
+def _unit_path(n):
+    p = [0.5 + 0.01 * (v % 40) for v in range(n)]
+    return make_instance(n, [(v - 1, v) for v in range(1, n)], p, [1.0] * n, None, 3.0)
+
+
+def test_deep_unit_paths_are_evaluated_without_the_pair_slots():
+    # filling a path-shaped tree's slots is O(n^3); the subtree route reads
+    # none of them.  On a path, node j joins the nodes before it in
+    # r_j = f_j (f_{j-1} + r_{j-1}) expected pairs, r_0 = 0.
+    n = 2000
+    inst = _unit_path(n)
+    paths = build_path_table(inst)
+    flags = (np.random.default_rng(8).uniform(size=(64, n)) < 0.05).astype(np.uint8)
+    values = batch_objective(inst, paths, flags)
+    assert "slots" not in paths.__dict__
+    factors = 1.0 - (1.0 - np.array(inst.survival_prob)) * flags
+    reached, expected = np.zeros(len(flags)), np.zeros(len(flags))
+    for v in range(1, n):
+        reached = factors[:, v] * (factors[:, v - 1] + reached)
+        expected += reached
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+
+
+def test_unit_paths_agree_with_the_pair_route():
+    inst = _unit_path(300)
+    paths = build_path_table(inst)
+    flags = (np.random.default_rng(9).uniform(size=(8, 300)) < 0.05).astype(np.uint8)
+    values = batch_objective(inst, paths, flags)
+    assert "slots" not in paths.__dict__
+    for row, value in zip(flags, values):
+        assert value == pytest.approx(objective_tree(inst, paths, AttackVector(tuple(row.tolist()))), rel=1e-12)
+
+
 def test_pair_costs_are_built_once_per_instance():
     inst, _ = _path_case()
     paths = build_path_table(inst)

@@ -21,6 +21,7 @@ from scnptree.instance import (
     make_instance,
     normalize_pair,
     read_instance,
+    rooted,
     write_instance,
 )
 
@@ -211,10 +212,13 @@ def _reference_table(inst):
 
 def _assert_table_matches_reference(inst):
     table = build_path_table(inst)
+    assert "slots" not in table.__dict__  # filled by the first read
     parent, levels, slots = _reference_table(inst)
     assert table.parent.tolist() == parent
     assert table.levels == levels
     assert np.array_equal(table.slots, slots)
+    assert table.slots is table.slots
+    assert not table.slots.flags.writeable
     return table
 
 
@@ -268,6 +272,20 @@ def test_path_table_matches_parent_pointer_reference():
         assert list(table.pairs()) == sorted(table.pairs())
         assert list(table.pairs()) == list(table.paths)
         _assert_columns_are_path_products(inst, table, rng)
+
+
+def test_path_table_eager_arrays_are_the_walk():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 9, 40):
+        inst = oracles.random_tree_instance(rng, n)
+        table = build_path_table(inst)
+        assert table.preorder.tolist() == rooted(inst)[1]
+        for array in (table.parent, table.preorder, table.depth, table.size):
+            assert not array.flags.writeable
+        assert "slots" not in table.__dict__
+        chains = [(0,)] + [table.path(0, node) for node in range(1, n)]  # root down to each node
+        assert table.depth.tolist() == [len(chain) - 1 for chain in chains]
+        assert table.size.tolist() == [sum(node in chain for chain in chains) for node in range(n)]
 
 
 def test_attack_vector_constructors_and_cost():
