@@ -291,7 +291,11 @@ class PathTable:
             lca_depth[pos:stop, pos:stop] = depth[node]
         where = np.empty(n, dtype=np.intp)
         where[order] = np.arange(n)
-        ends = np.array(np.triu_indices(n, 1))
+        # The (i, j) pairs in np.triu_indices(n, 1) order: row i holds
+        # j = i+1..n-1 and starts at flat position i*(2n-i-1)/2.
+        rows = np.arange(n)
+        ends = np.repeat([rows, rows + 1 - rows * (2 * n - rows - 1) // 2], n - 1 - rows, axis=1)
+        ends[1] += np.arange(ends.shape[1])
         # Run lengths up from each end; the second run includes the ancestor.
         runs = self.depth[ends] - lca_depth[where[ends[0]], where[ends[1]]] + [[0], [1]]
         slots = runs * n + ends

@@ -10,17 +10,26 @@ bounds, rows added to the model after a solve are appended to the session,
 and each solve only resets the column bounds, so dual simplex restarts from
 the previous basis.  A scipy without that binding takes a cold ``linprog``
 call per solve instead.
+
+The binding is one extension module, loaded from its file under its own
+name, so importing this module does not run ``scipy.optimize``'s package
+init (``scipy.linalg``, ``scipy.sparse`` and every optimizer, about half a
+second).  A later ``import scipy.optimize`` finds the module registered
+and reuses it.  Only the cold fallback imports ``scipy.optimize`` and
+``scipy.sparse``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 import weakref
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from scnptree.milpcore.model import (
     GREATER_EQUAL,
@@ -35,12 +44,53 @@ from scnptree.milpcore.model import (
 )
 from scnptree.milpcore.simplex import simplex_solve
 
-try:  # private API: probe everything the session uses
-    from scipy.optimize._highspy import _core as _binding
+_BINDING = "scipy.optimize._highspy._core"
 
-    _binding._Highs, _binding.HighsModelStatus, _binding.HighsStatus
-except (ImportError, AttributeError):
-    _binding = None
+
+def _binding_from_file():
+    """The binding loaded from its file, or None when it is not there."""
+    import scipy
+
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        return None
+    # Registered under its canonical name, so that scipy.optimize's own
+    # import reuses this module instead of initialising the extension twice.
+    spec = importlib.util.spec_from_file_location(_BINDING, path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_BINDING] = module
+        spec.loader.exec_module(module)
+    except ImportError:
+        sys.modules.pop(_BINDING, None)
+        return None
+    return module
+
+
+def _load_binding():
+    """scipy's HiGHS binding, or None when LPs must take ``linprog``.
+
+    Reuses a binding that is already imported; otherwise loads it from its
+    file, and only if that fails imports it through ``scipy.optimize``.
+    """
+    binding = sys.modules.get(_BINDING)
+    try:
+        if binding is None and "scipy.optimize" not in sys.modules:
+            binding = _binding_from_file()
+        if binding is None:
+            from scipy.optimize._highspy import _core as binding
+        # private API: probe everything the session uses
+        binding._Highs, binding.HighsModelStatus, binding.HighsStatus
+    except (ImportError, AttributeError):
+        return None
+    return binding
+
+
+_binding = _load_binding()
 
 BACKENDS = ("auto", "simplex", "highs")
 
@@ -161,12 +211,21 @@ def _session_solve(
     )
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _linprog_solve(
     model: LinearModel,
     lower: np.ndarray | None,
     upper: np.ndarray | None,
     time_limit: float | None,
 ) -> SolveResult:
+    import scipy.sparse as sp
+
     row_lo, row_hi, start, index, value = _row_block(model, 0)
     # linprog takes = rows and <= rows; >= rows are negated into <= rows
     ge = np.isinf(row_hi)

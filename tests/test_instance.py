@@ -274,6 +274,16 @@ def test_path_table_matches_parent_pointer_reference():
         _assert_columns_are_path_products(inst, table, rng)
 
 
+def test_path_table_slot_ends_are_the_upper_triangle():
+    rng = np.random.default_rng(29)
+    for n in list(range(1, 41)) + [200]:
+        inst = oracles.random_tree_instance(rng, n)
+        slots = _assert_table_matches_reference(inst).slots
+        ends = np.array(np.triu_indices(n, 1))
+        assert slots.dtype == ends.dtype
+        assert np.array_equal(slots % n, ends)
+
+
 def test_path_table_eager_arrays_are_the_walk():
     rng = np.random.default_rng(23)
     for n in (1, 2, 9, 40):

@@ -1,11 +1,18 @@
 """LP/MILP engine: model container, both LP backends, branch and bound."""
 
+import importlib.machinery
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from scnptree.milpcore import (
     EQUAL,
@@ -343,6 +350,118 @@ def test_solve_lp_routes_backend_names():
     assert named not in backends._sessions
     with pytest.raises(ValueError):
         solve_lp(named, backend="mystery")
+
+
+def test_cold_path_calls_the_module_level_linprog(monkeypatch):
+    # perfbench's tracer counts HiGHS calls by rebinding backends.linprog
+    monkeypatch.setattr(backends, "_binding", None)
+    calls = []
+    lazy = backends.linprog
+    monkeypatch.setattr(backends, "linprog", lambda *a, **k: calls.append(a) or lazy(*a, **k))
+    m = LinearModel()
+    m.add_variable("x", 0.0, math.inf, -1.0)
+    m.add_row("r", [0], [1.0], LESS_EQUAL, 1.0)
+    res = solve_lp(m)
+    assert res.status == STATUS_OPTIMAL
+    assert res.objective == pytest.approx(-1.0)
+    assert len(calls) == 1
+    assert m not in backends._sessions
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# One chain MILP through the HiGHS session, in a fresh interpreter.
+_CHAIN_MILP = """
+import sys
+import scnptree, scnptree.cli
+from scnptree import build_path_table, generate_instance
+from scnptree.milpcore import STATUS_OPTIMAL, backends, solve_milp
+from scnptree.models import build_chain_milp
+
+inst = generate_instance(8, "type1", 1)
+model, _ = build_chain_milp(inst, build_path_table(inst))
+result = solve_milp(model)
+assert result.status == STATUS_OPTIMAL and model in backends._sessions
+"""
+
+
+def _run_fresh(code: str) -> None:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+@needs_session
+def test_startup_loads_the_binding_without_scipy_optimize():
+    _run_fresh(_CHAIN_MILP + """
+heavy = [name for name in ("scipy.optimize", "scipy.sparse", "scipy.linalg") if name in sys.modules]
+assert not heavy, heavy
+import scipy.optimize
+assert scipy.optimize.linprog([1.0], bounds=[(1.0, 2.0)], method="highs").fun == 1.0
+assert sys.modules["scipy.optimize._highspy._core"] is backends._binding
+assert solve_milp(build_chain_milp(inst, build_path_table(inst))[0]).objective == result.objective
+""")
+
+
+@needs_session
+def test_binding_imported_by_scipy_optimize_first_is_reused():
+    _run_fresh("import scipy.optimize\nbinding = scipy.optimize._highspy._core\n" + _CHAIN_MILP + """
+assert backends._binding is binding is sys.modules["scipy.optimize._highspy._core"]
+""")
+
+
+def _stand_in():
+    return types.SimpleNamespace(_Highs=object, HighsModelStatus=object, HighsStatus=object)
+
+
+@pytest.fixture
+def hidden_binding(monkeypatch, tmp_path):
+    """No binding imported, scipy's folder empty, and a stand-in binding
+    behind ``from scipy.optimize._highspy import _core``."""
+    package = types.ModuleType("scipy.optimize._highspy")
+    package._core = _stand_in()
+    monkeypatch.delitem(sys.modules, backends._BINDING, raising=False)
+    monkeypatch.delitem(sys.modules, "scipy.optimize", raising=False)
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", package)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    return package._core
+
+
+def test_load_binding_imports_the_package_when_the_file_is_missing(hidden_binding):
+    assert backends._load_binding() is hidden_binding
+
+
+def test_load_binding_imports_the_package_when_the_file_fails(hidden_binding, tmp_path):
+    folder = tmp_path / "optimize" / "_highspy"
+    folder.mkdir(parents=True)
+    (folder / ("_core" + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"not a library")
+    assert backends._load_binding() is hidden_binding
+    assert backends._BINDING not in sys.modules
+
+
+def test_load_binding_reuses_an_imported_binding(hidden_binding, monkeypatch):
+    def no_file():
+        raise AssertionError("the file was read")
+
+    monkeypatch.setattr(backends, "_binding_from_file", no_file)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", types.ModuleType("scipy.optimize"))
+    assert backends._load_binding() is hidden_binding
+    loaded = _stand_in()
+    monkeypatch.setitem(sys.modules, backends._BINDING, loaded)
+    assert backends._load_binding() is loaded
+
+
+def test_load_binding_gives_none_without_a_usable_binding(hidden_binding, monkeypatch):
+    del hidden_binding._Highs
+    assert backends._load_binding() is None
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+    assert backends._load_binding() is None
 
 
 def brute_force_binary(model: LinearModel, n: int):
