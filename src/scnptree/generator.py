@@ -81,7 +81,11 @@ def assign_weights(
     survival = [float(p) for p in np.round(prob_rng.uniform(0.0, 1.0, size=n), 2)]
 
     weight_rng = _substream(seed, _WEIGHT_STREAM)
-    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def pair_costs() -> dict[tuple[int, int], float]:
+        pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        drawn = weight_rng.integers(1, 11, size=len(pair_list))
+        return {pair: float(c) for pair, c in zip(pair_list, drawn)}
 
     costs: dict[tuple[int, int], float] | None
     if scheme == "unit":
@@ -89,15 +93,12 @@ def assign_weights(
         costs = None
     elif scheme == "type1":
         kappa = [float(k) for k in weight_rng.integers(1, 11, size=n)]
-        drawn = weight_rng.integers(1, 11, size=len(pair_list))
-        costs = {pair: float(c) for pair, c in zip(pair_list, drawn)}
+        costs = pair_costs()
     elif scheme == "type2":
         kappa = [float(k) for k in weight_rng.integers(1, 101, size=n)]
-        drawn = weight_rng.integers(1, 11, size=len(pair_list))
-        costs = {pair: float(c) for pair, c in zip(pair_list, drawn)}
+        costs = pair_costs()
     else:  # type3
-        drawn = weight_rng.integers(1, 11, size=len(pair_list))
-        costs = {pair: float(c) for pair, c in zip(pair_list, drawn)}
+        costs = pair_costs()
         kappa = [100.0 if p == 0.0 else 1.0 / p for p in survival]
 
     budget = 0.1 * sum(kappa)

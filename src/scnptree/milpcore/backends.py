@@ -8,8 +8,13 @@ HiGHS runs as one persistent session per model, through scipy's private
 binding ``scipy.optimize._highspy._core._Highs``.  Rows keep their native
 bounds, rows added to the model after a solve are appended to the session,
 and each solve only resets the column bounds, so dual simplex restarts from
-the previous basis.  A scipy without that binding takes a cold ``linprog``
-call per solve instead.
+the previous basis.  A new session loads the model's ``start_basis`` when
+it has one, so its first LP starts from that structural basis instead of
+the slack basis.  When a session dies its HiGHS object goes to a small
+spare list; the next session empties a spare with ``clearModel()``, which
+keeps the options, instead of creating an object.  Each run reads back
+only the iteration count.  A scipy without that binding takes a cold
+``linprog`` call per solve instead.
 
 The binding is one extension module, loaded from its file under its own
 name, so importing this module does not run ``scipy.optimize``'s package
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import itertools
 import math
 import os
 import sys
@@ -105,31 +109,68 @@ _MINIMIZE = 1  # HiGHS ObjSense.kMinimize
 _sessions: "weakref.WeakKeyDictionary[LinearModel, _Session]" = weakref.WeakKeyDictionary()
 
 
+# HiGHS objects of dead sessions, kept for the next session.  Creating an
+# object costs about 0.1 ms, more than the simplex work of many small LPs;
+# clearModel() empties a spare and keeps its options.
+_spares: list = []
+_SPARE_CAP = 4
+
+
+def _release(highs) -> None:
+    if len(_spares) < _SPARE_CAP:
+        _spares.append(highs)
+
+
+def _acquire():
+    """An empty HiGHS object with the session's options: a spare, or new."""
+    try:
+        highs = _spares.pop()
+    except IndexError:
+        pass
+    else:
+        highs.clearModel()
+        return highs
+    highs = _binding._Highs()
+    highs.setOptionValue("output_flag", False)
+    # Presolve runs only on a cold start, and when it leaves the status
+    # open HiGHS prints a line to stdout that no option silences.
+    highs.setOptionValue("presolve", "off")
+    return highs
+
+
 def _row_block(model: LinearModel, first: int) -> tuple:
     """Rows ``first..`` as HiGHS row bounds plus a row-wise CSR matrix."""
     senses = model.senses[first:]
     rhs = model.rhs[first:]
     lower = np.array([-math.inf if s == LESS_EQUAL else b for s, b in zip(senses, rhs)])
     upper = np.array([math.inf if s == GREATER_EQUAL else b for s, b in zip(senses, rhs)])
-    cols = model.row_cols[first:]
-    start = np.zeros(len(cols) + 1, dtype=np.int32)
-    np.cumsum([len(c) for c in cols], out=start[1:])
-    index = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.int32, count=start[-1])
-    value = np.fromiter(
-        itertools.chain.from_iterable(model.row_coefs[first:]), dtype=float, count=start[-1]
-    )
-    return lower, upper, start, index, value
+    return (lower, upper, *model.row_matrix(first))
+
+
+def _set_start_basis(highs, model: LinearModel) -> None:
+    """Load ``model.start_basis``: each listed column basic in place of its
+    row's slack, every other slack basic, every other column at its lower
+    bound.  A basis HiGHS rejects leaves its slack start in place."""
+    code = _binding.HighsBasisStatus
+    cols = [code.kLower] * model.num_variables
+    rows = [code.kBasic] * model.num_rows
+    for row, col in model.start_basis:
+        cols[col] = code.kBasic
+        rows[row] = code.kUpper if model.senses[row] == LESS_EQUAL else code.kLower
+    basis = _binding.HighsBasis()
+    basis.col_status = cols
+    basis.row_status = rows
+    basis.valid = True
+    # not alien: HiGHS takes the basis as given or rejects it outright
+    basis.alien = False
+    highs.setBasis(basis)
 
 
 class _Session:
     """A HiGHS LP that mirrors one model and keeps its basis between solves."""
 
     def __init__(self, model: LinearModel) -> None:
-        highs = _binding._Highs()
-        highs.setOptionValue("output_flag", False)
-        # Presolve runs only on a cold start, and when it leaves the status
-        # open HiGHS prints a line to stdout that no option silences.
-        highs.setOptionValue("presolve", "off")
+        highs = _acquire()
         n = model.num_variables
         lower, upper, start, index, value = _row_block(model, 0)
         status = highs.passModel(
@@ -142,9 +183,12 @@ class _Session:
         )
         if status == _binding.HighsStatus.kError:
             raise NumericalFailure(f"highs rejected model {model.name!r}")
+        if model.start_basis:
+            _set_start_basis(highs, model)
         self.highs = highs
         self.columns = np.arange(n, dtype=np.int32)
         self.rows = model.num_rows
+        weakref.finalize(self, _release, highs)
 
     def follows(self, model: LinearModel) -> bool:
         """Catch up with ``model``; False when it changed beyond added rows."""
@@ -162,11 +206,14 @@ class _Session:
         highs = self.highs
         limit = math.inf
         if time_limit is not None:
-            # HiGHS's clock counts the session's whole life, not this run
+            # HiGHS's clock counts the object's whole life, not this run
             limit = highs.getRunTime() + max(time_limit, 1e-3)
         highs.setOptionValue("time_limit", limit)
         highs.run()
-        return highs.getModelStatus(), max(highs.getInfo().simplex_iteration_count, 0)
+        ok, iterations = highs.getInfoValue("simplex_iteration_count")
+        if ok != _binding.HighsStatus.kOk:
+            iterations = 0
+        return highs.getModelStatus(), max(iterations, 0)
 
 
 def _session(model: LinearModel) -> _Session:

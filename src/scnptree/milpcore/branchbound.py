@@ -33,12 +33,25 @@ _PRUNE_PAD = 1e-9
 def _validate_warm_start(model: LinearModel, x: np.ndarray) -> float:
     if x.shape != (model.num_variables,):
         raise ValueError("warm start has wrong length")
-    for j in range(model.num_variables):
-        if model.is_integer[j] and abs(x[j] - round(x[j])) > _INT_TOL:
-            raise ValueError(f"warm start not integral on {model.var_names[j]}")
+    if not np.isfinite(x).all():
+        raise ValueError("warm start is not finite")
+    off = np.asarray(model.is_integer, dtype=bool) & (np.abs(x - np.round(x)) > _INT_TOL)
+    if off.any():
+        raise ValueError(f"warm start not integral on {model.var_names[np.argmax(off)]}")
     if not model.is_feasible(x, tol=1e-7):
         raise ValueError("warm start violates bounds or rows")
     return model.objective_value(x)
+
+
+def _branch_column(x: np.ndarray, int_idx: np.ndarray) -> int:
+    """The first column of ``int_idx`` with the largest fractionality above
+    ``_INT_TOL``, or -1 when the point is integral on all of them."""
+    if not len(int_idx):
+        return -1
+    v = x[int_idx]
+    frac = np.minimum(v - np.floor(v), np.ceil(v) - v)
+    k = int(np.argmax(frac))
+    return int(int_idx[k]) if frac[k] > _INT_TOL else -1
 
 
 def solve_milp(
@@ -63,7 +76,7 @@ def solve_milp(
         incumbent_obj = _validate_warm_start(model, ws)
         incumbent_x = ws
 
-    int_idx = [j for j in range(model.num_variables) if model.is_integer[j]]
+    int_idx = np.flatnonzero(model.is_integer)
     root_lower = np.asarray(model.lower, dtype=float)
     root_upper = np.asarray(model.upper, dtype=float)
 
@@ -117,13 +130,7 @@ def solve_milp(
             continue
 
         x = res.x
-        best_j = -1
-        best_frac = _INT_TOL
-        for j in int_idx:
-            score = min(x[j] - math.floor(x[j]), math.ceil(x[j]) - x[j])
-            if score > best_frac:
-                best_frac = score
-                best_j = j
+        best_j = _branch_column(x, int_idx)
         if best_j < 0:
             if obj < incumbent_obj - 1e-12:
                 incumbent_obj = obj

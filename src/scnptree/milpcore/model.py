@@ -7,6 +7,7 @@ are stored sparsely; solvers densify as needed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,11 @@ class LinearModel:
         self.row_coefs: list[list[float]] = []
         self.senses: list[str] = []
         self.rhs: list[float] = []
+        # (row, column) pairs of a starting basis for a cold LP start: each
+        # column is basic in place of its row's slack, every other slack is
+        # basic and every other column sits at its lower bound.  Empty
+        # means the solver's own (slack) start.
+        self.start_basis: list[tuple[int, int]] = []
         self._var_index: dict[str, int] = {}
 
     # -- construction -----------------------------------------------------
@@ -126,26 +132,35 @@ class LinearModel:
     def objective_value(self, x: np.ndarray) -> float:
         return float(np.dot(self.objective, x))
 
+    def row_matrix(self, first: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows ``first..`` as a row-wise CSR matrix (start, index, value)."""
+        cols = self.row_cols[first:]
+        start = np.zeros(len(cols) + 1, dtype=np.int32)
+        np.cumsum([len(c) for c in cols], out=start[1:])
+        index = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.int32, count=start[-1])
+        value = np.fromiter(
+            itertools.chain.from_iterable(self.row_coefs[first:]), dtype=float, count=start[-1]
+        )
+        return start, index, value
+
     def row_activity(self, x: np.ndarray) -> np.ndarray:
-        act = np.zeros(self.num_rows)
-        for r, (cols, coefs) in enumerate(zip(self.row_cols, self.row_coefs)):
-            act[r] = float(np.dot(x[cols], coefs))
-        return act
+        start, index, value = self.row_matrix()
+        rows = np.repeat(np.arange(self.num_rows), np.diff(start))
+        return np.bincount(rows, weights=value * np.asarray(x, dtype=float)[index], minlength=self.num_rows)
 
     def is_feasible(self, x: np.ndarray, tol: float = 1e-7) -> bool:
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        if np.any(x < lo - tol) or np.any(x > hi + tol):
+        x = np.asarray(x, dtype=float)
+        if np.any(x < np.asarray(self.lower) - tol) or np.any(x > np.asarray(self.upper) + tol):
             return False
         act = self.row_activity(x)
-        for r, sense in enumerate(self.senses):
-            if sense == LESS_EQUAL and act[r] > self.rhs[r] + tol:
-                return False
-            if sense == GREATER_EQUAL and act[r] < self.rhs[r] - tol:
-                return False
-            if sense == EQUAL and abs(act[r] - self.rhs[r]) > tol:
-                return False
-        return True
+        rhs = np.asarray(self.rhs)
+        senses = np.array(self.senses)
+        violated = np.where(
+            senses == LESS_EQUAL,
+            act > rhs + tol,
+            np.where(senses == GREATER_EQUAL, act < rhs - tol, np.abs(act - rhs) > tol),
+        )
+        return not violated.any()
 
     # -- diagnostics --------------------------------------------------------
 

@@ -18,6 +18,13 @@ above the budget), the budget rounded down to the gcd grid of the
 attackable costs when they are all integers, and a row capping the number
 of attacks at ``max_attacks``.  The chain model optionally adds leaf
 dominance rows.
+
+Both record a structural start basis for HiGHS (``LinearModel.start_basis``)
+at v = 0: each survival column basic in the row that pins it (``sfirst``
+at a path's first node, ``sdrop`` after it), each pair's zero-attack
+selector basic in its ``pick`` row, and every other slack basic.  It is
+triangular, so nonsingular, and primal feasible because the budget is
+nonnegative.
 """
 
 from __future__ import annotations
@@ -115,12 +122,17 @@ def _add_attack_block(
 def _chain_rows(
     model: LinearModel, v: int, s: int, prev_s: int | None, q: float, tag: str
 ) -> None:
-    """Rows bounding a position's survival level s from below; q = 1 - p."""
+    """Rows bounding a position's survival level s from below; q = 1 - p.
+
+    The row that pins s at v = 0 (its first row) joins the start basis
+    with s basic in it.
+    """
     if prev_s is None:
-        model.add_row(f"sfirst_{tag}", [s, v], [1.0, q], GREATER_EQUAL, 1.0)
-        return
-    model.add_row(f"sdrop_{tag}", [s, prev_s, v], [1.0, -1.0, q], GREATER_EQUAL, 0.0)
-    model.add_row(f"sscale_{tag}", [s, prev_s], [1.0, q - 1.0], GREATER_EQUAL, 0.0)
+        pin = model.add_row(f"sfirst_{tag}", [s, v], [1.0, q], GREATER_EQUAL, 1.0)
+    else:
+        pin = model.add_row(f"sdrop_{tag}", [s, prev_s, v], [1.0, -1.0, q], GREATER_EQUAL, 0.0)
+        model.add_row(f"sscale_{tag}", [s, prev_s], [1.0, q - 1.0], GREATER_EQUAL, 0.0)
+    model.start_basis.append((pin, s))
 
 
 def build_chain_milp(
@@ -196,7 +208,8 @@ def build_ilp_p(
             )
             for t in range(cap + 1)
         )
-        model.add_row(f"pick_{i}_{j}", list(y_cols), [1.0] * len(y_cols), EQUAL, 1.0)
+        pick = model.add_row(f"pick_{i}_{j}", list(y_cols), [1.0] * len(y_cols), EQUAL, 1.0)
+        model.start_basis.append((pick, y_cols[0]))
         model.add_row(
             f"count_{i}_{j}",
             list(y_cols) + [attack[u] for u in path],

@@ -1,5 +1,6 @@
-"""One smoke pass of the benchmark per workload that exercises bulk
-evaluation, so a gate failure shows up with the unit tests.
+"""One smoke pass of each benchmark workload, so a gate failure shows up
+with the unit tests.  ``mid-weighted`` runs the cut loop's growing masters
+through recycled HiGHS sessions.
 
 Each pass takes a few seconds; its report goes to ``perfbench/out/``,
 which git ignores.
@@ -15,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["unit-large", "small-exact"])
+@pytest.mark.parametrize("workload", ["unit-large", "small-exact", "mid-weighted"])
 def test_benchmark_smoke_pass_is_correct(workload):
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--smoke", "--seconds", "0"]
     run = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=600)

@@ -1,5 +1,8 @@
 """Random instance generator: topology, weight schemes, determinism."""
 
+import hashlib
+import json
+
 import pytest
 
 import oracles
@@ -28,6 +31,29 @@ def test_generate_instance_deterministic():
     a = generate_instance(10, "type2", 3)
     b = generate_instance(10, "type2", 3)
     assert a == b
+
+
+# SHA-256 over every field of generate_instance(n, scheme, seed) for
+# n in (1, 2, 8, 30, 200) and seed in (0, 7), pinned so that a refactor of
+# the generator cannot change an instance unnoticed.
+_SCHEME_DIGESTS = {
+    "unit": "c76d8fab452b74ce07c8ee4b1609f074e56fef122930a43fb370bc53c4da0b08",
+    "type1": "19d712e8513b8936dd196ec4a850c959ea7c64d4c8bac1dfdf8ee0771e822ce6",
+    "type2": "aded58b574549ee9d30811259446ce6197a636fd4c2b2333c889adcdc6330551",
+    "type3": "0b8c0c0512e5f6b6e2afa740ea96413efff76cda7e316f4755046b33a8a2d7aa",
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_generated_instances_match_their_pinned_digest(scheme):
+    digest = hashlib.sha256()
+    for n in (1, 2, 8, 30, 200):
+        for seed in (0, 7):
+            inst = generate_instance(n, scheme, seed)
+            costs = None if inst.connection_cost is None else sorted(inst.connection_cost.items())
+            payload = [inst.node_count, inst.edges, inst.survival_prob, inst.attack_cost, costs, inst.budget]
+            digest.update(json.dumps(payload).encode())
+    assert digest.hexdigest() == _SCHEME_DIGESTS[scheme]
 
 
 def test_topology_and_probabilities_shared_across_schemes():

@@ -550,6 +550,96 @@ def test_branch_and_bound_warm_start_validation():
         solve_milp(m, gap=0.0, warm_start=np.array([1.0]))
 
 
+def _warm_start_by_loops(model: LinearModel, x: np.ndarray) -> bool:
+    """The per-variable and per-row check that the array version replaced."""
+    for j in range(model.num_variables):
+        if model.is_integer[j] and abs(x[j] - round(x[j])) > branchbound._INT_TOL:
+            return False
+    tol = 1e-7
+    if np.any(x < np.asarray(model.lower) - tol) or np.any(x > np.asarray(model.upper) + tol):
+        return False
+    for cols, coefs, sense, rhs in zip(model.row_cols, model.row_coefs, model.senses, model.rhs):
+        act = float(np.dot(x[cols], coefs))
+        if sense == LESS_EQUAL and act > rhs + tol:
+            return False
+        if sense == GREATER_EQUAL and act < rhs - tol:
+            return False
+        if sense == EQUAL and abs(act - rhs) > tol:
+            return False
+    return True
+
+
+def _warm_start_accepted(model: LinearModel, x) -> bool:
+    try:
+        branchbound._validate_warm_start(model, np.asarray(x, dtype=float))
+    except ValueError:
+        return False
+    return True
+
+
+def test_warm_start_check_on_edge_points():
+    m = LinearModel("edges")
+    m.add_variable("a", 0.0, 1.0, 1.0, integer=True)
+    m.add_variable("b", 0.0, 3.0, 1.0, integer=True)
+    m.add_variable("c", -1.0, 2.0, 1.0)
+    m.add_row("le", [0, 1], [1.0, 1.0], LESS_EQUAL, 3.0)
+    m.add_row("ge", [1, 2], [1.0, 2.0], GREATER_EQUAL, 1.0)
+    m.add_row("eq", [0, 2], [2.0, 1.0], EQUAL, 2.5)
+    m.add_row("empty", [], [], LESS_EQUAL, 0.0)
+    cases = {
+        (1.0, 2.0, 0.5): True,
+        (1.0, 2.0, 0.5 + 5e-8): True,  # every row within 1e-7
+        (1.0, 2.0, 0.5 + 2e-7): False,  # eq row off by 2e-7
+        (1.0, 1.0 + 5e-7, 0.5): True,  # integral within 1e-6
+        (1.0, 2.0 + 1e-5, 0.5): False,  # not integral
+        (0.0, 1.0, 2.5): False,  # c above its bound, rows met
+        (0.0, 1.0, 2.0 + 5e-8): False,  # eq row off by 0.5
+        (1.0, 3.0 + 5e-8, 0.5): False,  # le row violated by 1.5
+        (0.0, 0.0, -1.0 - 5e-8): False,  # ge row violated
+        (1.0, 0.0, 0.5): True,
+        (1.0, 4.0, -1.5): False,  # b and c off their bounds
+        (1.0, float("nan"), 0.5): False,
+        (1.0, 2.0, float("inf")): False,
+    }
+    for point, accepted in cases.items():
+        assert _warm_start_accepted(m, point) is accepted, point
+    rng = np.random.default_rng(8)
+    grid = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    for _ in range(2000):
+        x = rng.choice(grid, size=3) + rng.choice([0.0, 5e-8, -5e-8, 2e-7, 1e-5], size=3)
+        assert _warm_start_accepted(m, x) is _warm_start_by_loops(m, x), x
+    with pytest.raises(ValueError, match="integral on b"):
+        branchbound._validate_warm_start(m, np.array([1.0, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="violates"):
+        branchbound._validate_warm_start(m, np.array([1.0, 2.0, 0.6]))
+
+
+def _branch_column_by_loop(x: np.ndarray, int_idx) -> int:
+    best_j, best_frac = -1, branchbound._INT_TOL
+    for j in int_idx:
+        score = min(x[j] - math.floor(x[j]), math.ceil(x[j]) - x[j])
+        if score > best_frac:
+            best_frac, best_j = score, j
+    return best_j
+
+
+def test_branching_picks_the_first_most_fractional_column():
+    rng = np.random.default_rng(31)
+    # a coarse grid, so that ties between columns are common
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 2.5, 3.0, 1e-7, 1.0 - 1e-7, 4e-6])
+    ties = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 12))
+        x = rng.choice(grid, size=n) if rng.random() < 0.7 else rng.uniform(-3.0, 3.0, size=n)
+        int_idx = np.flatnonzero(rng.random(n) < 0.7)
+        expected = _branch_column_by_loop(x, int_idx)
+        assert branchbound._branch_column(x, int_idx) == expected
+        fracs = np.minimum(x[int_idx] - np.floor(x[int_idx]), np.ceil(x[int_idx]) - x[int_idx])
+        ties += expected >= 0 and np.count_nonzero(fracs == fracs.max()) > 1
+    assert ties > 100
+    assert branchbound._branch_column(np.array([0.5, 0.5]), np.array([], dtype=int)) == -1
+
+
 def test_branch_and_bound_time_limit_returns_incumbent():
     rng = np.random.default_rng(15)
     n = 26
