@@ -28,7 +28,7 @@ from scnptree.milpcore import (
     LinearModel,
     solve_milp,
 )
-from scnptree.models import _add_attack_block, attack_from_solution
+from scnptree.models import _add_attack_block, add_cover_row, rounded_attack
 
 TRACE_HEADER = ("iteration", "LB", "UB", "cuts_added", "cumulative_cuts", "elapsed")
 
@@ -258,10 +258,15 @@ def bd_scnp(
             status = STATUS_TIME_LIMIT
             break
         lower = max(lower, min(res.bound, res.objective))
-        flags = attack_from_solution(instance, attack_cols, res.x)
+        flags = rounded_attack(attack_cols, res.x)
+        feasible = flags.is_feasible(instance)
         values = pair_values(instance, paths, flags)
         candidate = math.fsum(values)
-        if candidate < upper - 1e-12:
+        if not feasible:
+            # over the budget within the solver's tolerance: the cuts below
+            # hold at any flags, and the cover row cuts the attack off
+            add_cover_row(master, attack_cols, flags)
+        elif candidate < upper - 1e-12:
             upper = candidate
             incumbent = flags
 
@@ -290,9 +295,10 @@ def bd_scnp(
                     )
                 )
                 added += 1
-            # No undercut pair: every surrogate matches its slave, so the
-            # master value is exact and the remaining gap is solver tolerance.
-            done = added == 0
+            # No undercut pair at a feasible point: every surrogate matches
+            # its slave, so the master value is exact and the remaining gap
+            # is solver tolerance.
+            done = added == 0 and feasible
         cuts_total += added
         trace.append(
             TraceRow(
@@ -307,9 +313,10 @@ def bd_scnp(
         if done:
             status = STATUS_OPTIMAL
             break
-        warm = np.zeros(master.num_variables)
-        warm[list(attack_cols)] = flags.flags
-        warm[z_cols] = values
+        if feasible:
+            warm = np.zeros(master.num_variables)
+            warm[list(attack_cols)] = flags.flags
+            warm[z_cols] = values
 
     return BendersResult(
         status=status,

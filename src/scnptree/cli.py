@@ -121,9 +121,20 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
         else:
             model, index = models.build_ilp_p(instance, paths)
         res = solve_milp(model, gap=eps, time_limit=time_limit, backend=backend)
+        nodes = res.nodes
+        # an integral point over the budget within the solver's tolerance:
+        # cut its attack off and solve again
+        while res.x is not None:
+            over = models.rounded_attack(index.attack, res.x)
+            if over.is_feasible(instance):
+                break
+            models.add_cover_row(model, index.attack, over)
+            remaining = None if time_limit is None else max(time_limit - (time.perf_counter() - started), 0.0)
+            res = solve_milp(model, gap=eps, time_limit=remaining, backend=backend)
+            nodes += res.nodes
         attack = models.attack_from_solution(instance, index.attack, res.x) if res.x is not None else None
         value, bound, status = res.objective, res.bound, res.status
-        record["iterations"] = res.nodes
+        record["iterations"] = nodes
     elif method == "dp":
         result = dp_mod.dp_solve(instance, max_attacks(instance), params.get("nu", 4))
         attack, value, bound = result.attack, result.exact_value, result.truncated_value

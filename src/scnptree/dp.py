@@ -29,6 +29,21 @@ flag-1 state takes part in too and stays strictly ahead.  Both rules need a
 strictly lower value, so equal values, and with them the tie rule, are
 never decided by a dropped state.
 
+A third rule caps values.  Once the merges have formed ``_INCUMBENT_AFTER``
+pairs, a few greedy rounds find an attack A of at most K nodes
+(``_greedy``), and every later merge drops, before its sort, the pairs
+whose value exceeds a ceiling of at least mu times A's objective
+(``_incumbent``); smaller DPs finish before the greedy would pay for
+itself.  No answer changes.  Every merge term is nonnegative, so a state's
+value never falls on its way to the root, and the truncated optimum is at
+most A's truncated value, itself at most mu times A's objective.  A pair at
+or below the ceiling is formed from rows at or below it, and whatever
+dominates it or ties with it is at or below it too, so each table holds the
+unbounded DP's rows, less those above the ceiling once it is set, in the
+same order, and the best row, its attack and the tie rule come out the
+same.  A ceiling below
+the optimum would empty some table; the fold then reruns without one.
+
 All arithmetic is integer: probabilities are expressed over one common
 denominator (100 when every probability has two decimals, otherwise the
 exact binary denominators), which keeps the floor operations exact.  A
@@ -41,17 +56,35 @@ intermediate, from n, mu and the denominator, fits, else Python ints
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from scnptree.evaluator import objective_tree
-from scnptree.instance import AttackVector, TreeInstance, build_path_table, has_unit_connection_costs, rooted
+from scnptree.evaluator import batch_objective, objective_tree
+from scnptree.instance import (
+    AttackVector,
+    PathTable,
+    TreeInstance,
+    build_path_table,
+    has_unit_connection_costs,
+    rooted,
+)
 
 # Largest state bound n*n*K*mu that dp_solve accepts.
 STATE_CAP = 1_000_000_000
+# Greedy rounds that build the incumbent attack.
+_GREEDY_ROUNDS = 4
+# Pairs formed before the incumbent is computed: about half what its five
+# batch_objective calls cost at n = 200 (4 ms, at 0.2 us a pair).
+_INCUMBENT_AFTER = 10_000
+
+# The replay evaluates by subtree sums through ``batch_objective``; the
+# name stays bound here for callers that wrap ``dp.objective_tree``, such
+# as the benchmark's tracer.
+objective_tree
 
 
 class NonUnitCosts(ValueError):
@@ -67,7 +100,11 @@ class ApproxResult:
     """Truncated optimum plus the exact value of the recovered attack set.
 
     ``truncated_value <= OPT <= exact_value <= truncated_value + slack_bound``
-    with ``slack_bound = n(n-1)/(2 mu)``.
+    with ``slack_bound = n(n-1)/(2 mu)``.  ``exact_value`` is the attack's
+    objective by subtree sums (``batch_objective``).  ``state_count`` and
+    ``transition_count`` are the rows kept and the pairs formed by the
+    merges, after the incumbent's ceiling dropped the pairs above it; the
+    ceiling changes neither value nor attack.
     """
 
     truncated_value: float
@@ -123,13 +160,62 @@ def _int_dtype(n: int, mu: int, den: int) -> type:
     return np.int64 if bound < 2**62 else object
 
 
+def _greedy(instance: TreeInstance, paths: PathTable, budget: int) -> tuple[np.ndarray, float]:
+    """An attack of at most ``budget`` nodes, as 0/1 floats, and its objective.
+
+    Each of at most ``_GREEDY_ROUNDS`` rounds scores every node with p < 1
+    not yet attacked by one ``batch_objective`` block, a row per node that
+    adds it to the attack so far, and attacks the ceil(K / rounds) best
+    (least value, then least index) the budget still allows.
+    """
+    flags = np.zeros(instance.node_count)
+    free = np.flatnonzero(np.asarray(instance.survival_prob) < 1.0)
+    step, left = -(-budget // _GREEDY_ROUNDS), budget
+    while left and len(free):
+        rows = np.tile(flags, (len(free), 1))
+        rows[np.arange(len(free)), free] = 1.0
+        best = np.argsort(batch_objective(instance, paths, rows), kind="stable")[: min(step, left)]
+        flags[free[best]] = 1.0
+        free, left = np.delete(free, best), left - len(best)
+    return flags, float(batch_objective(instance, paths, flags[None])[0])
+
+
+def _incumbent(instance: TreeInstance, paths: PathTable, budget: int, mu: int) -> int:
+    """Ceiling on the values worth keeping, from ``_greedy``'s attack A.
+
+    The ceiling, floor(mu * UB * (1 + pad)) + 1 with UB A's computed
+    objective and pad = n * 2**-50, is at least the truncated optimum T.
+    T <= truncated(A) <= mu * f(A), f taken at the DP's probabilities.
+    Rounding: every monomial of the subtree sums is a product of
+    nonnegative floats through at most 4n roundings (at most deg + 1 per
+    node its chains pass, the pair products and the final sum over nodes),
+    so f at the computed factors is at most UB / (1 - u)**(4n), u = 2**-53;
+    pad = 8n u covers that and the three roundings of the ceiling's
+    product.  Factors: the computed 1 + (p - 1) is within 2**-54 of p, and
+    the two-decimal snap of ``_scaled_probabilities`` within 1e-11, so
+    moving every attacked factor to the DP's probability moves mu * f by at
+    most mu * n(n-1)/2 * K * 1.01e-11 < 0.006 under ``STATE_CAP``.  T is an
+    integer at most mu * UB * (1 + pad) + 0.006, hence at most the ceiling.
+    """
+    _, value = _greedy(instance, paths, budget)
+    return math.floor(mu * value * (1.0 + instance.node_count * 2.0**-50)) + 1
+
+
 def _merge(
-    rest: _Table, child: _Table, q: tuple[np.ndarray, np.ndarray], den: int, mu: int, budget: int
+    rest: _Table,
+    child: _Table,
+    q: tuple[np.ndarray, np.ndarray],
+    den: int,
+    mu: int,
+    budget: int,
+    ceiling: int | None,
 ) -> tuple[_Table, int]:
     """Fold a child's table into its node's table; also count the pairs formed.
 
     ``q`` holds the numerators, unattacked and attacked, of the node and
-    the child.
+    the child.  Pairs whose value exceeds ``ceiling`` (None: no ceiling)
+    are dropped before the sort; the table comes back empty when none is
+    left.
     """
     q_node, q_child = q
     # Child rows by attacks descending, table order within; each pairs with
@@ -152,10 +238,18 @@ def _merge(
     c = c_rest + direct + t3
     value += rest.value[rest_row] + direct
     value += qc * c_rest // den + t3 + c_child * c_rest // mu
+    columns = (attacks, flag, c, value, child_row, rest_row)
+    pairs, top = len(rest_row), value.max()
+    if ceiling is not None and top > ceiling:
+        low = np.flatnonzero(value <= ceiling)
+        columns = tuple(column[low] for column in columns)
+        if not len(low):
+            return _Table(*columns), pairs
+        attacks, flag, c, value = columns[:4]
     # One integer orders rows by (attacks, c, flag 1 first, value); the
     # stable sort keeps the first pair formed at the head of each run of
     # equal ones, and the running minimums below drop the rest of the run.
-    span = value.max() + 2
+    span = top + 2
     order = np.argsort(((attacks * (c.max() + 1) + c) * 2 + 1 - flag) * span + value, kind="stable")
     # Shifting each attack count down by attacks * span puts it wholly
     # below the counts before it, so running minimums restart at each one.
@@ -170,8 +264,42 @@ def _merge(
     kept = order[keep]
     # back to (attacks, flag, c) order: c already ascends within each cell
     kept = kept[np.argsort(2 * attacks[kept] + flag[kept], kind="stable")]
-    columns = (attacks, flag, c, value, child_row, rest_row)
-    return _Table(*(column[kept] for column in columns)), len(rest_row)
+    return _Table(*(column[kept] for column in columns)), pairs
+
+
+def _fold(
+    preorder: list[int],
+    children: list[list[int]],
+    q: list[np.ndarray],
+    base: _Table,
+    scale: tuple[int, int, int],
+    incumbent: Callable[[], int | None] | None,
+) -> tuple[dict[int, list[_Table]], int] | None:
+    """Every node's level tables, children folded right to left, and the
+    pairs formed; None when the ceiling empties a table.
+
+    ``scale`` is (den, mu, budget).  ``incumbent()`` gives the ceiling; it
+    is asked once, at the first merge after ``_INCUMBENT_AFTER`` pairs, and
+    not at all when ``incumbent`` is None.  ``levels[node][i]`` is the table
+    after folding ``children[node][i:]``.
+    """
+    transition_count = 0
+    ceiling = None
+    levels: dict[int, list[_Table]] = {}
+    for node in reversed(preorder):
+        node_levels = [base]
+        for child in reversed(children[node]):
+            if incumbent is not None and transition_count >= _INCUMBENT_AFTER:
+                ceiling, incumbent = incumbent(), None
+            merged, transitions = _merge(
+                node_levels[-1], levels[child][0], (q[node], q[child]), *scale, ceiling
+            )
+            if not len(merged.value):
+                return None
+            transition_count += transitions
+            node_levels.append(merged)
+        levels[node] = node_levels[::-1]
+    return levels, transition_count
 
 
 def dp_solve(
@@ -213,19 +341,12 @@ def dp_solve(
     zeros, no_row = np.zeros(len(lone), dtype), np.full(len(lone), -1)
     base = _Table(lone, lone, zeros, zeros, no_row, no_row)
 
-    transition_count = 0
-    # levels[node][i]: the table after folding children[node][i:]
-    levels: dict[int, list[_Table]] = {}
-    for node in reversed(preorder):
-        kids = children[node]
-        node_levels = [base]
-        for child in reversed(kids):
-            merged, transitions = _merge(
-                node_levels[-1], levels[child][0], (q[node], q[child]), den, mu, budget
-            )
-            transition_count += transitions
-            node_levels.append(merged)
-        levels[node] = node_levels[::-1]
+    paths = build_path_table(instance)
+    scale = (den, mu, budget)
+    folded = _fold(preorder, children, q, base, scale, lambda: _incumbent(instance, paths, budget, mu))
+    if folded is None:  # the ceiling fell below the truncated optimum
+        folded = _fold(preorder, children, q, base, scale, None)
+    levels, transition_count = folded
 
     # rows are sorted by (attacks, flag, c), so the first least value is
     # the least (value, attacks, flag, c)
@@ -244,11 +365,10 @@ def dp_solve(
             row = int(table.rest_row[row])
 
     attack = AttackVector.from_nodes(attacked, n)
-    exact = objective_tree(instance, build_path_table(instance), attack)
     return ApproxResult(
         truncated_value=int(levels[root][0].value[best_row]) / mu,
         attack=attack,
-        exact_value=exact,
+        exact_value=float(batch_objective(instance, paths, np.array([attack.flags]))[0]),
         slack_bound=n * (n - 1) / (2.0 * mu),
         state_count=sum(len(t.attacks) for tables in levels.values() for t in tables),
         transition_count=transition_count,

@@ -221,15 +221,33 @@ def build_ilp_p(
     return model, SelectorIndex(attack, selector)
 
 
+def rounded_attack(attack_cols: tuple[int, ...], x) -> AttackVector:
+    """The attack vector of a solver point's rounded attack columns."""
+    return AttackVector(tuple(1 if round(float(x[c])) >= 1 else 0 for c in attack_cols))
+
+
+def add_cover_row(model: LinearModel, attack_cols: tuple[int, ...], attack: AttackVector) -> None:
+    """Cut off ``attack`` and every attack containing it: the sum of v over
+    its nodes is at most their count minus 1.
+
+    Solvers accept a budget row within their tolerance (1e-7), wider than
+    the slack ``AttackVector.is_feasible`` allows, so with fractional costs
+    an attack S just over the budget can come back as optimal.  Costs are
+    nonnegative, so every attack containing S is infeasible too, and the
+    row removes no feasible attack.
+    """
+    cols = [attack_cols[u] for u in attack.attacked]
+    model.add_row(f"cover{model.num_rows}", cols, [1.0] * len(cols), LESS_EQUAL, len(cols) - 1.0)
+
+
 def attack_from_solution(instance: TreeInstance, attack_cols: tuple[int, ...], x) -> AttackVector:
     """Round the attack columns of a solver point into an attack vector.
 
-    Raises ``NumericalFailure`` when the attack is not feasible: solvers
-    accept a budget row within their tolerance (1e-7), wider than the
-    slack ``AttackVector.is_feasible`` allows, so with fractional costs a
-    point just over the budget can pass as optimal.
+    Raises ``NumericalFailure`` when the attack is not feasible; callers
+    cut such points off with ``add_cover_row`` first, so this is the last
+    guard.
     """
-    attack = AttackVector(tuple(1 if round(float(x[c])) >= 1 else 0 for c in attack_cols))
+    attack = rounded_attack(attack_cols, x)
     if not attack.is_feasible(instance):
         raise NumericalFailure(
             f"solver point attacks {list(attack.attacked)} at cost {attack.total_cost(instance)!r},"

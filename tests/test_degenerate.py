@@ -2,6 +2,7 @@
 paths, zero budget, survival probabilities of 0 and 1, and zero-cost
 pairs, checked against the brute-force oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from scnptree.cli import solve_instance
 from scnptree.evaluator import objective_tree
 from scnptree.instance import AttackVector, build_path_table, make_instance
 from scnptree.milpcore import NumericalFailure
+from scnptree.models import attack_from_solution
 
 
 @st.composite
@@ -68,8 +70,17 @@ OVER_BUDGET_PATH = make_instance(
 @pytest.mark.parametrize("backend", ("highs", "simplex"))
 @pytest.mark.parametrize("method", ("milp", "benders"))
 def test_a_solver_point_over_the_budget_raises(method, backend):
+    # the solvers return {1, 2}; attack_from_solution raises on it, so both
+    # methods cut it off with a cover row and solve again
+    point = np.zeros(4)
+    point[[1, 2]] = 1.0
     with pytest.raises(NumericalFailure):
-        solve_instance(OVER_BUDGET_PATH, method, {"eps": 1e-9, "backend": backend})
+        attack_from_solution(OVER_BUDGET_PATH, (0, 1, 2, 3), point)
+    record = solve_instance(OVER_BUDGET_PATH, method, {"eps": 1e-9, "backend": backend})
+    attack = AttackVector.from_nodes(record["attack"], 4)
+    assert attack.is_feasible(OVER_BUDGET_PATH)
+    assert record["value"] == pytest.approx(1.351, abs=1e-9)
+    assert record["bound"] == pytest.approx(1.351, abs=1e-8)
 
 
 def test_the_over_budget_path_has_a_feasible_optimum():

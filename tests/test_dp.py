@@ -1,7 +1,7 @@
 """Truncated dynamic program: hand cases, the two-sided value sandwich on
 random and degenerate trees and around the chain MILP at n = 30-40, pinned
-results, the integer type, input validation, and the child-merge advance
-against brute force."""
+results, the incumbent's ceiling against the unbounded DP, the integer
+type, input validation, and the child-merge advance against brute force."""
 
 import numpy as np
 import pytest
@@ -120,20 +120,103 @@ PINNED_CEILINGS = {801: (4232, 13215), 1203: (17502, 62675), 270: (166, 238)}
     "n, seed, k, nu, root, value, attacked, states, transitions",
     [
         (80, 801, 8, 4, 0, 264.7855, [28, 29, 53, 55, 67, 68, 77, 78], 3164, 8183),
-        (120, 1203, 12, 3, 0, 617.657, [7, 10, 30, 43, 50, 52, 59, 71, 73, 84, 103, 118], 11945, 40093),
+        (120, 1203, 12, 3, 0, 617.657, [7, 10, 30, 43, 50, 52, 59, 71, 73, 84, 103, 118], 8901, 27810),
         # two attack sets reach the same value here; only the tie rule picks
         (17, 270, 3, 2, 14, 55.19, [1, 7, 12], 159, 225),
     ],
 )
 def test_pinned_generator_instances(n, seed, k, nu, root, value, attacked, states, transitions):
     # values and attacks recorded from the dict-based DP that preceded the
-    # array tables: ties between equal values break the same way
+    # array tables: ties between equal values break the same way; the counts
+    # are the DP's with the incumbent's ceiling, which only n = 120 forms
+    # enough pairs to ask for
     res = dp_solve(generate_instance(n, "unit", seed), max_attacks=k, nu=nu, root=root)
     assert res.truncated_value == value
     assert res.attack == AttackVector.from_nodes(attacked, n)
     assert (res.state_count, res.transition_count) == (states, transitions)
     state_ceiling, transition_ceiling = PINNED_CEILINGS[seed]
     assert res.state_count <= state_ceiling and res.transition_count <= transition_ceiling
+
+
+def mixed_unit_tree(rng, n, k):
+    """A random unit tree with two-decimal probabilities, some of them 0 or
+    1, and, in about a third of the trees, one of 1/3 or 0.123, which take
+    object arrays."""
+    p = [round(float(rng.uniform()), 2) for _ in range(n)]
+    for node in rng.choice(n, size=int(rng.integers(0, n // 3 + 1)), replace=False):
+        p[node] = float(rng.integers(0, 2))
+    if rng.integers(3) == 0:
+        p[int(rng.integers(n))] = [1 / 3, 0.123][int(rng.integers(2))]
+    edges = oracles.random_tree_instance(rng, n).edges
+    return make_instance(n, list(edges), p, [1.0] * n, None, float(k))
+
+
+def test_the_ceiling_changes_no_answer(monkeypatch):
+    # every merge capped, against no ceiling and, on every fifth run,
+    # against a ceiling of 0, which empties a table unless the optimum is 0
+    # and reruns unbounded
+    rng = np.random.default_rng(84)
+    runs = []
+    for trial in range(300):
+        n = 1 + trial % 40
+        k = (0, 1, n // 3, n + 1)[trial % 4]
+        roots = range(n) if n <= 8 else [int(rng.integers(n))]
+        inst = mixed_unit_tree(rng, n, k)
+        runs += [(inst, k, 1 + trial % 4 if n <= 20 else 1 + trial % 2, root) for root in roots]
+
+    def solve_all(incumbent, runs):
+        monkeypatch.setattr(dp, "_incumbent", incumbent)
+        return [dp_solve(inst, max_attacks=k, nu=nu, root=root) for inst, k, nu, root in runs]
+
+    monkeypatch.setattr(dp, "_INCUMBENT_AFTER", 0)
+    pruned = solve_all(dp._incumbent, runs)
+    unbounded = solve_all(lambda *args: None, runs)
+    emptied = solve_all(lambda *args: 0, runs[::5])
+    for reference, results in ((unbounded, pruned), (pruned[::5], emptied)):
+        for theirs, mine in zip(reference, results):
+            assert (mine.truncated_value, mine.attack) == (theirs.truncated_value, theirs.attack)
+            assert mine.exact_value == pytest.approx(theirs.exact_value, rel=1e-12, abs=0.0)
+    assert sum(r.transition_count for r in pruned) < 0.9 * sum(r.transition_count for r in unbounded)
+
+
+def test_the_incumbent_bounds_the_optimum(monkeypatch):
+    ceilings = []
+    merge = dp._merge
+
+    def recording(*args):
+        ceilings.append(args[-1])
+        return merge(*args)
+
+    monkeypatch.setattr(dp, "_merge", recording)
+    monkeypatch.setattr(dp, "_INCUMBENT_AFTER", 0)
+    rng = np.random.default_rng(85)
+    for trial in range(30):
+        n = int(rng.integers(2, 11))
+        k = int(rng.integers(1, n + 1))
+        nu = int(rng.integers(1, 5))
+        inst = mixed_unit_tree(rng, n, k)
+        _, opt = oracles.brute_force_optimum(inst)
+        table = build_path_table(inst)
+        flags, value = dp._greedy(inst, table, k)
+        attack = AttackVector(tuple(flags.astype(int).tolist()))
+        assert sum(attack.flags) <= k
+        assert value >= opt - 1e-12
+        assert value == pytest.approx(objective_tree(inst, table, attack), abs=1e-12)
+        ceilings.clear()
+        res = dp_solve(inst, max_attacks=k, nu=nu)
+        assert ceilings and set(ceilings) == {ceilings[0]}
+        assert ceilings[0] >= round(res.truncated_value * 10**nu)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_ceiling_cuts_the_pairs_formed(monkeypatch, seed):
+    inst = generate_instance(200, "unit", seed)
+    pruned = dp_solve(inst, max_attacks=20, nu=3)
+    monkeypatch.setattr(dp, "_incumbent", lambda *args: None)
+    unbounded = dp_solve(inst, max_attacks=20, nu=3)
+    assert (pruned.truncated_value, pruned.attack) == (unbounded.truncated_value, unbounded.attack)
+    assert pruned.transition_count <= 0.7 * unbounded.transition_count
+    assert pruned.state_count < unbounded.state_count
 
 
 def test_level_tables_are_sorted_and_undominated(monkeypatch):
