@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scnptree.evaluator import pair_values
-from scnptree.instance import AttackVector, TreeInstance, build_path_table
+from scnptree.instance import AttackVector, TreeInstance, build_path_table, normalize_pair
 from scnptree.milpcore import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -199,8 +199,7 @@ def cut_from_duals(duals: PathDuals, instance: TreeInstance, path: tuple[int, ..
     """
     p = instance.survival_prob
     coefficients = tuple((node, -(1.0 - p[node]) * drop) for node, drop in zip(path, duals.drop))
-    pair = (path[0], path[-1]) if path[0] < path[-1] else (path[-1], path[0])
-    return BendersCut(pair=pair, constant=duals.drop[0], coefficients=coefficients)
+    return BendersCut(pair=normalize_pair(path[0], path[-1]), constant=duals.drop[0], coefficients=coefficients)
 
 
 def bd_scnp(

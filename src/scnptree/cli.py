@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument("--no-vi", action="store_true", help="drop leaf dominance rows")
     solver.add_argument("--time-limit", type=float, default=None, help="seconds")
     solver.add_argument("--nu", type=int, default=4, help="truncation decimals for --method dp")
-    solver.add_argument("--backend", choices=BACKENDS, default="auto")
+    solver.add_argument("--backend", choices=BACKENDS, default="auto", help="LP solver; auto is an alias of highs")
 
     p_gen = sub.add_parser("gen", help="write random instances")
     p_gen.add_argument("--n", type=int, required=True, help="number of nodes")

@@ -112,18 +112,11 @@ def _products_into(table: np.ndarray, slots: np.ndarray, first: np.ndarray, seco
     return first
 
 
-def pair_costs(instance: TreeInstance, paths: PathTable) -> np.ndarray:
-    """Connection cost of every pair in ``paths.pairs()`` order, which
-    depends only on n: the instance's read-only ``pair_cost_array``, built
-    once per instance."""
-    return instance.pair_cost_array
-
-
 def pair_values(instance: TreeInstance, paths: PathTable, attack: AttackVector) -> np.ndarray:
     """Expected connection cost of every pair in ``paths.pairs()`` order:
     its cost times its path survival product; empty when n = 1."""
     products = pair_survival(instance, paths, np.array([attack.flags]))[0]
-    return products * pair_costs(instance, paths)
+    return products * instance.pair_cost_array
 
 
 def objective_tree(instance: TreeInstance, paths: PathTable, attack: AttackVector) -> float:
@@ -258,7 +251,7 @@ def batch_objective(instance: TreeInstance, paths: PathTable, flag_rows: np.ndar
         block = _block_rows(_TABLE_FLOATS // per_row, len(rows))
         fill = functools.partial(_subtree_sums_into, instance, order, steps, widest)
     else:
-        costs = pair_costs(instance, paths)
+        costs = instance.pair_cost_array
         height = paths.levels * instance.node_count
         block, width = _block_shape(height, len(costs), len(rows))
         per_row = height + 2 * width

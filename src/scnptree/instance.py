@@ -5,12 +5,13 @@ sparse: ``None`` means "all pairs cost 1", otherwise a mapping from ordered
 pairs (i, j) with i < j to nonnegative floats, with unlisted pairs
 defaulting to 1.  Instances and path tables are immutable after
 construction and safe to share across threads: two threads that first read
-a derived array at once build identical arrays twice.  Derived arrays are
-built once, on first use: an instance's dense pair costs (O(n^2)), and a
-path table's pair ``slots`` (O(n^2) memory; O(n^2) time, O(n^3) on
-path-shaped trees), node sequences (O(n^3) on path-shaped trees) and
-bottom-up pass (O(n log n)).  ``build_path_table`` itself does O(n) work: one
-walk, with parents, depths and subtree sizes.
+a derived value at once build identical values twice.  Derived values are
+built once, on first use, and kept for the instance's lifetime: its dense
+pair costs (O(n^2)) and its one path table, whose first
+``build_path_table`` call does O(n) work (one walk, with parents, depths
+and subtree sizes); the table's pair ``slots`` (O(n^2) memory; O(n^2)
+time, O(n^3) on path-shaped trees), node sequences (O(n^3) on path-shaped
+trees) and bottom-up pass (O(n log n)) wait for their first reader.
 
 Every method reads one tree walk, ``rooted``, one normaliser of raw
 fields, ``make_instance``, one attack rule, ``attackable_nodes`` and
@@ -263,9 +264,12 @@ class PathTable:
     ``pair_survival``'s flattened upward table.
 
     ``slots``, ``paths`` (the node sequence of every pair) and
-    ``bottom_up`` are built on first read.  The unit-cost route of
-    ``evaluator.batch_objective`` reads only ``bottom_up``, so it never
-    pays for the pair arrays.
+    ``bottom_up`` are built on first read, so at most once per instance:
+    an instance has one table, built by the first ``build_path_table`` call
+    and kept for the instance's lifetime (as with ``pair_cost_array``, two
+    threads that first read one at once build it twice).  The unit-cost
+    route of ``evaluator.batch_objective`` reads only ``bottom_up``, so it
+    never pays for the pair arrays.
     """
 
     node_count: int
@@ -363,9 +367,11 @@ class PathTable:
 
 
 def build_path_table(instance: TreeInstance) -> PathTable:
-    """The rooted tree of ``rooted``'s walk, in O(n): parents, depths and
-    subtree sizes.  The O(n^2) ``slots`` and the node sequences wait for
-    their first reader."""
+    """The instance's one table: the first call walks ``rooted``'s tree for
+    parents, depths and subtree sizes in O(n) and keeps the table in the
+    instance, as ``pair_cost_array`` is kept; later calls return it."""
+    if "_path_table" in instance.__dict__:
+        return instance.__dict__["_path_table"]
     n = instance.node_count
     parent, order = rooted(instance)
     depth = [0] * n
@@ -374,7 +380,8 @@ def build_path_table(instance: TreeInstance) -> PathTable:
     size = [1] * n
     for node in reversed(order[1:]):
         size[parent[node]] += size[node]
-    return PathTable(n, _read_only(parent), max(depth) + 2, _read_only(order), _read_only(depth), _read_only(size))
+    table = PathTable(n, _read_only(parent), max(depth) + 2, _read_only(order), _read_only(depth), _read_only(size))
+    return instance.__dict__.setdefault("_path_table", table)
 
 
 def _read_only(values: list[int]) -> np.ndarray:

@@ -338,12 +338,12 @@ def solve_lp(
 ) -> SolveResult:
     """Solve the continuous relaxation; integrality flags are ignored.
 
-    ``backend`` is one of ``BACKENDS``.  HiGHS (``auto`` or ``highs``)
-    reuses the model's session, so repeated solves of one model, such as
-    branch-and-bound nodes, start from the last basis; ``simplex`` runs the
-    built-in dense simplex.  Both backends map a ``time_limit`` stop to
-    TimeLimit; the simplex alone can also end at its fixed guard against
-    cycling, with IterationLimit.
+    ``backend`` is one of ``BACKENDS``; ``auto`` is an alias of
+    ``highs``.  HiGHS reuses the model's session, so repeated solves of one
+    model, such as branch-and-bound nodes, start from the last basis;
+    ``simplex`` runs the built-in dense simplex.  Both backends map a
+    ``time_limit`` stop to TimeLimit; the simplex alone can also end at its
+    fixed guard against cycling, with IterationLimit.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")

@@ -87,3 +87,47 @@ def test_the_over_budget_path_has_a_feasible_optimum():
     record = solve_instance(OVER_BUDGET_PATH, "exhaustive", {})
     assert record["attack"] == [0, 2, 3]
     assert record["value"] == pytest.approx(1.351, abs=1e-9)
+
+
+@st.composite
+def near_budget_instances(draw):
+    """Trees of at most 6 nodes in which two or three nodes together cost
+    1e-8 to 9e-8 more than the budget: inside the solvers' 1e-7 row
+    tolerance, so that attack can come back optimal, and outside
+    ``AttackVector.is_feasible``'s 1e-9.  Every other cost is a share of
+    the budget; half the trees have one survival probability, for
+    ``ilp-p``."""
+    n = draw(st.integers(3, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if draw(st.booleans()):
+        probs = [draw(st.sampled_from((0.1, 0.5, 0.9)))] * n
+    else:
+        probs = draw(st.lists(st.sampled_from((0.1, 0.5, 0.9)), min_size=n, max_size=n))
+    budget = draw(st.sampled_from((1.0, 1.5, 2.0)))
+    kappa = [budget * draw(st.sampled_from((0.3, 0.6, 1.1))) for _ in range(n)]
+    over = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=3, unique=True))
+    shares = draw(st.lists(st.integers(1, 4), min_size=len(over), max_size=len(over)))
+    excess = draw(st.sampled_from((1e-8, 5e-8, 9e-8)))
+    for node, share in zip(over, shares):
+        kappa[node] = (budget + excess) * share / sum(shares)
+    return make_instance(n, edges, probs, kappa, None, budget)
+
+
+# equal p, and the attack {0, 1} 5e-8 over the budget: ilp-p meets it on
+# both backends and cuts it off with a cover row
+EQUAL_P_OVER_BUDGET_PATH = make_instance(3, [(0, 1), (1, 2)], [0.1] * 3, [0.33333335, 0.6666667, 0.6], None, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=near_budget_instances())
+@example(inst=OVER_BUDGET_PATH)
+@example(inst=EQUAL_P_OVER_BUDGET_PATH)
+def test_exact_methods_match_exhaustive_near_the_budget(inst):
+    optimum = solve_instance(inst, "exhaustive", {})["value"]
+    methods = ["milp", "benders"] + (["ilp-p"] if len(set(inst.survival_prob)) == 1 else [])
+    for backend in ("highs", "simplex"):
+        for method in methods:
+            record = solve_instance(inst, method, {"eps": 1e-9, "backend": backend})
+            attack = AttackVector.from_nodes(record["attack"], inst.node_count)
+            assert attack.is_feasible(inst), (method, backend)
+            assert record["value"] == pytest.approx(optimum, abs=1e-6), (method, backend)

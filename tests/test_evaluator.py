@@ -1,5 +1,6 @@
 """Objective evaluation routes and the exhaustive solver."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -20,7 +21,6 @@ from scnptree.evaluator import (
     feasible_attack_vectors,
     objective_scenarios,
     objective_tree,
-    pair_costs,
     pair_survival,
 )
 from scnptree.generator import generate_instance
@@ -190,7 +190,7 @@ def test_batch_objective_across_row_and_pair_blocks(scheme):
     assert evaluator._block_shape(paths.levels * n, len(paths.slots[0]), rows) == (block, width)
     flags = (rng.uniform(size=(rows, n)) < 0.3).astype(int)
     values = batch_objective(inst, paths, flags)
-    expected = pair_survival(inst, paths, flags) @ pair_costs(inst, paths)
+    expected = pair_survival(inst, paths, flags) @ inst.pair_cost_array
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
     boundaries = [0, block - 1, block, 2 * block - 1, 2 * block, rows - 1]
     for index in boundaries + rng.choice(rows, 6, replace=False).tolist():
@@ -339,14 +339,15 @@ def test_subtree_sums_match_the_pair_route(batch):
     paths = build_path_table(inst)
     values = batch_objective(inst, paths, rows)
     assert values.shape == (len(rows),)
-    np.testing.assert_allclose(values, pair_survival(inst, paths, rows) @ pair_costs(inst, paths), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(values, pair_survival(inst, paths, rows) @ inst.pair_cost_array, rtol=1e-12, atol=0.0)
     if inst.node_count <= 8:
         for row, value in zip(rows, values):
             assert value == pytest.approx(oracles.expected_pair_connectivity(inst, row), abs=1e-9)
 
 
 def _assert_pair_route_matches_a_fresh_table(inst, paths, flags):
-    fresh = build_path_table(inst)
+    fresh = build_path_table(dataclasses.replace(inst))  # a copy has its own table
+    assert fresh is not paths
     assert np.array_equal(paths.slots, fresh.slots)
     assert np.array_equal(pair_survival(inst, paths, flags), pair_survival(inst, fresh, flags))
     for row in flags[:4]:
@@ -361,21 +362,14 @@ def test_unit_cost_evaluation_never_builds_the_pair_slots():
     values = batch_objective(inst, paths, flags)
     assert "slots" not in paths.__dict__
     _assert_pair_route_matches_a_fresh_table(inst, paths, flags)
-    expected = pair_survival(inst, paths, flags) @ pair_costs(inst, paths)
+    expected = pair_survival(inst, paths, flags) @ inst.pair_cost_array
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
 
 
-def test_exhaustive_search_on_unit_costs_never_builds_the_pair_slots(monkeypatch):
-    tables = []
-
-    def recording(instance):
-        tables.append(build_path_table(instance))
-        return tables[-1]
-
-    monkeypatch.setattr(evaluator, "build_path_table", recording)
+def test_exhaustive_search_on_unit_costs_never_builds_the_pair_slots():
     inst = generate_instance(10, "unit", 6)
     attack, value = exhaustive_solve(inst)
-    (paths,) = tables
+    paths = build_path_table(inst)  # the table the search read
     assert "slots" not in paths.__dict__
     _assert_pair_route_matches_a_fresh_table(inst, paths, np.array([attack.flags, [0] * 10]))
     assert value == pytest.approx(objective_tree(inst, paths, attack), rel=1e-12)
@@ -417,15 +411,15 @@ def test_unit_paths_agree_with_the_pair_route():
 def test_pair_costs_are_built_once_per_instance():
     inst, _ = _path_case()
     paths = build_path_table(inst)
-    costs = pair_costs(inst, paths)
+    costs = inst.pair_cost_array
     assert costs.tolist() == [inst.connection_cost.get(pair, 1.0) for pair in paths.pairs()]
     assert costs[list(paths.pairs()).index((0, 1))] == 1.0  # unlisted
     assert not costs.flags.writeable
     with pytest.raises(ValueError):
         costs[0] = 5.0
-    assert pair_costs(inst, paths) is costs
+    assert inst.pair_cost_array is costs
     unit = generate_instance(7, "unit", 1)
-    assert pair_costs(unit, build_path_table(unit)).tolist() == [1.0] * 21
+    assert unit.pair_cost_array.tolist() == [1.0] * 21
 
 
 def test_feasible_attack_vectors_lexicographic_and_complete():

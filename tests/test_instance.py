@@ -1,6 +1,9 @@
 """Instance container, validation, serialization, and path table."""
 
+import collections
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scnptree.cli import solve_instance
 from scnptree.evaluator import batch_objective, objective_tree, pair_survival
+from scnptree.generator import generate_instance
 from scnptree.instance import (
     AttackVector,
     InstanceError,
@@ -16,6 +21,7 @@ from scnptree.instance import (
     NonpositiveAttackCost,
     NotATree,
     ParseError,
+    PathTable,
     ProbabilityOutOfRange,
     build_path_table,
     make_instance,
@@ -296,6 +302,57 @@ def test_path_table_eager_arrays_are_the_walk():
         chains = [(0,)] + [table.path(0, node) for node in range(1, n)]  # root down to each node
         assert table.depth.tolist() == [len(chain) - 1 for chain in chains]
         assert table.size.tolist() == [sum(node in chain for chain in chains) for node in range(n)]
+
+
+def _count_fills(monkeypatch):
+    """Count each run of the functions behind ``PathTable``'s cached
+    properties, by property name."""
+    fills = collections.Counter()
+    for name in ("slots", "paths", "bottom_up"):
+        prop = PathTable.__dict__[name]
+
+        def counted(table, name=name, func=prop.func):
+            fills[name] += 1
+            return func(table)
+
+        monkeypatch.setattr(prop, "func", counted)
+    return fills
+
+
+def test_an_instance_has_one_path_table(monkeypatch):
+    fills = _count_fills(monkeypatch)
+    inst = generate_instance(7, "type1", 3)
+    assert build_path_table(inst) is build_path_table(inst)
+    records = [solve_instance(inst, method, {}) for method in ("milp", "benders", "exhaustive")]
+    best = records[-1]["value"]
+    assert [record["value"] for record in records] == pytest.approx([best] * 3, abs=1e-3)
+    attack = AttackVector.from_nodes(records[-1]["attack"], 7)
+    assert objective_tree(inst, build_path_table(inst), attack) == pytest.approx(best, rel=1e-12)
+    assert fills == {"slots": 1, "paths": 1}
+
+    unit = generate_instance(9, "unit", 3)
+    dp_record = solve_instance(unit, "dp", {})
+    optimum = solve_instance(unit, "exhaustive", {})["value"]
+    assert dp_record["bound"] - 1e-9 <= optimum <= dp_record["value"] + 1e-9
+    assert fills == {"slots": 1, "paths": 1, "bottom_up": 1}
+
+    copy = dataclasses.replace(inst)
+    assert build_path_table(copy) is not build_path_table(inst)
+    assert objective_tree(copy, build_path_table(copy), attack) == objective_tree(inst, build_path_table(inst), attack)
+    assert fills["slots"] == 2
+
+
+def test_a_pickled_instance_evaluates_the_same():
+    for scheme in ("unit", "type2"):
+        inst = generate_instance(12, scheme, 5)
+        flags = (np.random.default_rng(5).uniform(size=(20, 12)) < 0.3).astype(np.uint8)
+        values = batch_objective(inst, build_path_table(inst), flags)
+        attack = AttackVector(tuple(flags[0].tolist()))
+        value = objective_tree(inst, build_path_table(inst), attack)
+        back = pickle.loads(pickle.dumps(inst))
+        assert back == inst
+        assert np.array_equal(batch_objective(back, build_path_table(back), flags), values)
+        assert objective_tree(back, build_path_table(back), attack) == value
 
 
 def test_attack_vector_constructors_and_cost():
