@@ -6,7 +6,8 @@ chain LP that ``models._chain_rows`` writes for the pair's path, at fixed
 v, solved in closed form.  Dual values for every slave are available
 analytically, so optimality cuts cost O(path length) and never touch an
 LP.  Lower bounds come from the master, upper bounds from evaluating the
-incumbent flags; the loop stops when they meet within ``eps``.
+incumbent flags; the loop stops when they meet within ``eps``.  Master
+points over the budget are cut off by ``models.feasible_attack``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from scnptree.milpcore import (
     LinearModel,
     solve_milp,
 )
-from scnptree.models import _add_attack_block, add_cover_row, rounded_attack
+from scnptree.models import _add_attack_block, feasible_attack
 
 TRACE_HEADER = ("iteration", "LB", "UB", "cuts_added", "cumulative_cuts", "elapsed")
 
@@ -217,7 +218,8 @@ def bd_scnp(
     by more than 1e-9.  The previous flags and slave values warm-start the
     next master.  Stops when UB - LB <= eps, when no surrogate undercuts
     its slave, or when the time limit expires.  Per-pair arrays follow
-    ``paths.pairs()`` order.
+    ``paths.pairs()`` order.  A point over the budget gets a cover row
+    instead of cuts, an upper bound or a warm start.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -257,21 +259,17 @@ def bd_scnp(
             status = STATUS_TIME_LIMIT
             break
         lower = max(lower, min(res.bound, res.objective))
-        flags = rounded_attack(attack_cols, res.x)
-        feasible = flags.is_feasible(instance)
-        values = pair_values(instance, paths, flags)
-        candidate = math.fsum(values)
-        if not feasible:
-            # over the budget within the solver's tolerance: the cuts below
-            # hold at any flags, and the cover row cuts the attack off
-            add_cover_row(master, attack_cols, flags)
-        elif candidate < upper - 1e-12:
-            upper = candidate
-            incumbent = flags
+        flags = feasible_attack(master, instance, attack_cols, res.x)
+        if flags is not None:
+            values = pair_values(instance, paths, flags)
+            candidate = math.fsum(values)
+            if candidate < upper - 1e-12:
+                upper = candidate
+                incumbent = flags
 
         done = upper - lower <= eps
         added = 0
-        if not done:
+        if flags is not None and not done:
             z = res.x[z_cols]
             for k in np.flatnonzero(z < values - 1e-9):
                 i, j = pairs[k]
@@ -297,7 +295,10 @@ def bd_scnp(
             # No undercut pair at a feasible point: every surrogate matches
             # its slave, so the master value is exact and the remaining gap
             # is solver tolerance.
-            done = added == 0 and feasible
+            done = added == 0
+            warm = np.zeros(master.num_variables)
+            warm[list(attack_cols)] = flags.flags
+            warm[z_cols] = values
         cuts_total += added
         trace.append(
             TraceRow(
@@ -312,10 +313,6 @@ def bd_scnp(
         if done:
             status = STATUS_OPTIMAL
             break
-        if feasible:
-            warm = np.zeros(master.num_variables)
-            warm[list(attack_cols)] = flags.flags
-            warm[z_cols] = values
 
     return BendersResult(
         status=status,

@@ -115,24 +115,18 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
     elif method in ("milp", "ilp-p"):
         paths = build_path_table(instance)
         if method == "milp":
-            model, index = models.build_chain_milp(
+            model, attack_cols = models.build_chain_milp(
                 instance, paths, add_valid_ineq=params.get("use_valid_ineq", True)
             )
         else:
-            model, index = models.build_ilp_p(instance, paths)
+            model, attack_cols = models.build_ilp_p(instance, paths)
         res = solve_milp(model, gap=eps, time_limit=time_limit, backend=backend)
-        nodes = res.nodes
-        # an integral point over the budget within the solver's tolerance:
-        # cut its attack off and solve again
-        while res.x is not None:
-            over = models.rounded_attack(index.attack, res.x)
-            if over.is_feasible(instance):
-                break
-            models.add_cover_row(model, index.attack, over)
+        nodes, attack = res.nodes, None
+        # solve again while the point is over the budget and gets a cover row
+        while res.x is not None and (attack := models.feasible_attack(model, instance, attack_cols, res.x)) is None:
             remaining = None if time_limit is None else max(time_limit - (time.perf_counter() - started), 0.0)
             res = solve_milp(model, gap=eps, time_limit=remaining, backend=backend)
             nodes += res.nodes
-        attack = models.attack_from_solution(instance, index.attack, res.x) if res.x is not None else None
         value, bound, status = res.objective, res.bound, res.status
         record["iterations"] = nodes
     elif method == "dp":

@@ -11,7 +11,8 @@ pair costs (O(n^2)) and its one path table, whose first
 ``build_path_table`` call does O(n) work (one walk, with parents, depths
 and subtree sizes); the table's pair ``slots`` (O(n^2) memory; O(n^2)
 time, O(n^3) on path-shaped trees), node sequences (O(n^3) on path-shaped
-trees) and bottom-up pass (O(n log n)) wait for their first reader.
+trees) and bottom-up pass (O(n log n)) wait for their first reader.  A
+pickle carries only an instance's fields, never its derived values.
 
 Every method reads one tree walk, ``rooted``, one normaliser of raw
 fields, ``make_instance``, one attack rule, ``attackable_nodes`` and
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -93,6 +94,11 @@ class TreeInstance:
         if self.connection_cost is None:
             return 1.0
         return self.connection_cost.get(normalize_pair(i, j), 1.0)
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields only: the derived values are rebuilt, read-only,
+        on first use after unpickling."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
     def pair_cost_array(self) -> np.ndarray:
@@ -423,11 +429,11 @@ class AttackVector:
     def total_cost(self, instance: TreeInstance) -> float:
         return sum(instance.attack_cost[i] for i in self.attacked)
 
-    def is_feasible(self, instance: TreeInstance, slack: float = BUDGET_SLACK) -> bool:
+    def is_feasible(self, instance: TreeInstance) -> bool:
         """Budget respected and no attack on a node that survives surely."""
         if any(instance.survival_prob[i] >= 1.0 for i in self.attacked):
             return False
-        return self.total_cost(instance) <= instance.budget + slack
+        return self.total_cost(instance) <= instance.budget + BUDGET_SLACK
 
 
 def attackable_nodes(instance: TreeInstance) -> tuple[int, ...]:

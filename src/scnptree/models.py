@@ -17,7 +17,11 @@ bound 0 on every node outside ``attackable_nodes`` (p_i = 1 or a cost
 above the budget), the budget rounded down to the gcd grid of the
 attackable costs when they are all integers, and a row capping the number
 of attacks at ``max_attacks``.  The chain model optionally adds leaf
-dominance rows.
+dominance rows.  Both builders return the model and its attack columns.
+
+``feasible_attack`` is the one read-off of a solver point for these
+models and the cut loop's master: it rounds the attack columns and
+returns the attack if it is feasible, else cuts it off with a cover row.
 
 Both record a structural start basis for HiGHS (``LinearModel.start_basis``)
 at v = 0: each survival column basic in the row that pins it (``sfirst``
@@ -30,36 +34,13 @@ nonnegative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scnptree.instance import BUDGET_SLACK, AttackVector, PathTable, TreeInstance, attackable_nodes, max_attacks
-from scnptree.milpcore import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearModel, NumericalFailure
+from scnptree.milpcore import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearModel
 
 
 class UnequalProbabilities(ValueError):
     """The uniform-probability model needs identical survival probabilities."""
-
-
-@dataclass(frozen=True)
-class ChainIndex:
-    """Column positions for a chain model.
-
-    ``survival[(i, j)][k]`` is the column of the survival level after the
-    path's (k+1)-th node, a position's only column; the last entry carries
-    the pair's cost.  Pairs with the same start node share the columns of
-    their common prefix.
-    """
-
-    attack: tuple[int, ...]
-    survival: dict[tuple[int, int], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class SelectorIndex:
-    """Column positions for the uniform-probability model."""
-
-    attack: tuple[int, ...]
-    selector: dict[tuple[int, int], tuple[int, ...]]
 
 
 def valid_inequalities(instance: TreeInstance) -> tuple[tuple[int, int], ...]:
@@ -139,7 +120,7 @@ def build_chain_milp(
     instance: TreeInstance,
     paths: PathTable,
     add_valid_ineq: bool = False,
-) -> tuple[LinearModel, ChainIndex]:
+) -> tuple[LinearModel, tuple[int, ...]]:
     """Exact model: minimize total expected pairwise connection cost.
 
     Each pair's path carries a survival level s.  With q = 1 - p of the
@@ -155,26 +136,23 @@ def build_chain_milp(
     """
     model = LinearModel("chain")
     attack = _add_attack_block(model, instance, add_valid_ineq=add_valid_ineq)
-    survival: dict[tuple[int, int], tuple[int, ...]] = {}
     s_at: dict[tuple[int, int], int] = {}
     for i, j in paths.pairs():
-        cols: list[int] = []
+        prev = None
         for u in paths.path(i, j):
             if (i, u) not in s_at:
                 cost = instance.pair_cost(i, u) if u > i else 0.0
                 s_at[i, u] = model.add_variable(f"s_{i}_{u}", objective=cost)
-                prev = cols[-1] if cols else None
                 q = 1.0 - instance.survival_prob[u]
                 _chain_rows(model, attack[u], s_at[i, u], prev, q, f"{i}_{u}")
-            cols.append(s_at[i, u])
-        survival[i, j] = tuple(cols)
-    return model, ChainIndex(attack, survival)
+            prev = s_at[i, u]
+    return model, attack
 
 
 def build_ilp_p(
     instance: TreeInstance,
     paths: PathTable,
-) -> tuple[LinearModel, SelectorIndex]:
+) -> tuple[LinearModel, tuple[int, ...]]:
     """Exact model for instances whose nodes share one survival probability.
 
     A pair that loses exactly t of its path nodes survives with probability
@@ -193,7 +171,6 @@ def build_ilp_p(
 
     model = LinearModel("uniform_p")
     attack = _add_attack_block(model, instance, add_valid_ineq=False)
-    selector: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, j in paths.pairs():
         path = paths.path(i, j)
         cost = instance.pair_cost(i, j)
@@ -217,43 +194,28 @@ def build_ilp_p(
             EQUAL,
             0.0,
         )
-        selector[(i, j)] = y_cols
-    return model, SelectorIndex(attack, selector)
+    return model, attack
 
 
-def rounded_attack(attack_cols: tuple[int, ...], x) -> AttackVector:
-    """The attack vector of a solver point's rounded attack columns."""
-    return AttackVector(tuple(1 if round(float(x[c])) >= 1 else 0 for c in attack_cols))
-
-
-def add_cover_row(model: LinearModel, attack_cols: tuple[int, ...], attack: AttackVector) -> None:
-    """Cut off ``attack`` and every attack containing it: the sum of v over
-    its nodes is at most their count minus 1.
+def feasible_attack(
+    model: LinearModel, instance: TreeInstance, attack_cols: tuple[int, ...], x
+) -> AttackVector | None:
+    """The attack of a solver point's rounded attack columns if it is
+    feasible; otherwise None, after cutting it off in ``model``.
 
     Solvers accept a budget row within their tolerance (1e-7), wider than
     the slack ``AttackVector.is_feasible`` allows, so with fractional costs
-    an attack S just over the budget can come back as optimal.  Costs are
-    nonnegative, so every attack containing S is infeasible too, and the
-    row removes no feasible attack.
+    an attack S just over the budget can come back as optimal.  The cover
+    row, the sum of v over S at most |S| - 1, removes S and every attack
+    containing it; costs are nonnegative, so all of those are infeasible
+    too, and the row removes no feasible attack.
     """
+    attack = AttackVector(tuple(1 if round(float(x[c])) >= 1 else 0 for c in attack_cols))
+    if attack.is_feasible(instance):
+        return attack
     cols = [attack_cols[u] for u in attack.attacked]
     model.add_row(f"cover{model.num_rows}", cols, [1.0] * len(cols), LESS_EQUAL, len(cols) - 1.0)
-
-
-def attack_from_solution(instance: TreeInstance, attack_cols: tuple[int, ...], x) -> AttackVector:
-    """Round the attack columns of a solver point into an attack vector.
-
-    Raises ``NumericalFailure`` when the attack is not feasible; callers
-    cut such points off with ``add_cover_row`` first, so this is the last
-    guard.
-    """
-    attack = rounded_attack(attack_cols, x)
-    if not attack.is_feasible(instance):
-        raise NumericalFailure(
-            f"solver point attacks {list(attack.attacked)} at cost {attack.total_cost(instance)!r},"
-            f" over the budget {instance.budget!r} or on a sure survivor"
-        )
-    return attack
+    return None
 
 
 def model_size(model: LinearModel) -> dict[str, int]:
@@ -267,8 +229,3 @@ def model_size(model: LinearModel) -> dict[str, int]:
         "nonzeros": nnz,
     }
 
-
-def chain_survival_value(index: ChainIndex, pair: tuple[int, int], x) -> float:
-    """Final survival level of a pair in a solved chain model: its path's
-    survival product if the pair has positive cost, else possibly above it."""
-    return float(x[index.survival[pair][-1]])

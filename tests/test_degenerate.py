@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scnptree.benders import bd_scnp
 from scnptree.cli import solve_instance
 from scnptree.evaluator import objective_tree
 from scnptree.instance import AttackVector, build_path_table, make_instance
-from scnptree.milpcore import NumericalFailure
-from scnptree.models import attack_from_solution
+from scnptree.milpcore import LESS_EQUAL
+from scnptree.models import build_chain_milp, feasible_attack
 
 
 @st.composite
@@ -69,13 +70,17 @@ OVER_BUDGET_PATH = make_instance(
 
 @pytest.mark.parametrize("backend", ("highs", "simplex"))
 @pytest.mark.parametrize("method", ("milp", "benders"))
-def test_a_solver_point_over_the_budget_raises(method, backend):
-    # the solvers return {1, 2}; attack_from_solution raises on it, so both
-    # methods cut it off with a cover row and solve again
-    point = np.zeros(4)
-    point[[1, 2]] = 1.0
-    with pytest.raises(NumericalFailure):
-        attack_from_solution(OVER_BUDGET_PATH, (0, 1, 2, 3), point)
+def test_a_solver_point_over_the_budget_gets_one_cover_row(method, backend):
+    # the solvers return {1, 2}; feasible_attack rejects it and cuts it off
+    # with the cover row v_1 + v_2 <= 1, so both methods solve again
+    model, attack_cols = build_chain_milp(OVER_BUDGET_PATH, build_path_table(OVER_BUDGET_PATH))
+    rows = model.num_rows
+    point = np.zeros(model.num_variables)
+    point[[attack_cols[1], attack_cols[2]]] = 1.0
+    assert feasible_attack(model, OVER_BUDGET_PATH, attack_cols, point) is None
+    assert model.num_rows == rows + 1
+    assert model.row_cols[-1] == [attack_cols[1], attack_cols[2]]
+    assert (model.row_coefs[-1], model.senses[-1], model.rhs[-1]) == ([1.0, 1.0], LESS_EQUAL, 1.0)
     record = solve_instance(OVER_BUDGET_PATH, method, {"eps": 1e-9, "backend": backend})
     attack = AttackVector.from_nodes(record["attack"], 4)
     assert attack.is_feasible(OVER_BUDGET_PATH)
@@ -131,3 +136,18 @@ def test_exact_methods_match_exhaustive_near_the_budget(inst):
             attack = AttackVector.from_nodes(record["attack"], inst.node_count)
             assert attack.is_feasible(inst), (method, backend)
             assert record["value"] == pytest.approx(optimum, abs=1e-6), (method, backend)
+
+
+@pytest.mark.parametrize("backend", ("highs", "simplex"))
+@pytest.mark.parametrize("inst", (OVER_BUDGET_PATH, EQUAL_P_OVER_BUDGET_PATH), ids=("path", "equal_p"))
+def test_the_cut_loop_skips_over_budget_master_points(inst, backend):
+    # each run meets one master point over the budget: that round adds a
+    # cover row but no cut, keeps the upper bound and still gets a trace row
+    res = bd_scnp(inst, eps=1e-9, backend=backend)
+    assert res.iterations == len(res.trace)
+    assert any(row.cuts_added == 0 for row in res.trace[:-1])
+    for before, after in zip(res.trace, res.trace[1:]):
+        assert after.lower_bound >= before.lower_bound
+        assert after.upper_bound <= before.upper_bound
+    assert all(AttackVector(record.master_flags).is_feasible(inst) for record in res.cuts)
+    assert res.attack is not None and res.attack.is_feasible(inst)

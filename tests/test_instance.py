@@ -355,6 +355,20 @@ def test_a_pickled_instance_evaluates_the_same():
         assert objective_tree(back, build_path_table(back), attack) == value
 
 
+def test_a_pickle_carries_no_derived_values():
+    # the unpickled instance rebuilds its table, slots and costs read-only,
+    # and the pickle is no longer than a fresh equal instance's
+    inst = generate_instance(8, "type1", 1)
+    build_path_table(inst).slots
+    inst.pair_cost_array
+    fresh = generate_instance(8, "type1", 1)
+    assert len(pickle.dumps(inst)) == len(pickle.dumps(fresh))
+    back = pickle.loads(pickle.dumps(inst))
+    table = build_path_table(back)
+    for array in (back.pair_cost_array, table.slots, table.parent, table.preorder, table.depth, table.size):
+        assert not array.flags.writeable
+
+
 def test_attack_vector_constructors_and_cost():
     inst = small_instance()
     attack = AttackVector.from_nodes([3, 0], 4)

@@ -15,13 +15,18 @@ from scnptree.milpcore import STATUS_OPTIMAL, LinearModel, solve_lp, solve_milp
 from scnptree.models import (
     UnequalProbabilities,
     _add_attack_block,
-    attack_from_solution,
     build_chain_milp,
     build_ilp_p,
-    chain_survival_value,
+    feasible_attack,
     model_size,
     valid_inequalities,
 )
+
+
+def final_level_cols(model, pairs):
+    """Column of each pair's final survival level: position (i, j) of the
+    paths from i, named ``s_{i}_{j}``."""
+    return {(i, j): model.var_names.index(f"s_{i}_{j}") for i, j in pairs}
 
 
 def equal_p_instance(n: int, p: float, seed: int):
@@ -42,24 +47,25 @@ def test_chain_milp_matches_brute_force(vi):
     for trial in range(6):
         inst = oracles.random_tree_instance(rng, int(rng.integers(3, 9)), "weighted")
         paths = build_path_table(inst)
-        model, index = build_chain_milp(inst, paths, add_valid_ineq=vi)
+        model, attack_cols = build_chain_milp(inst, paths, add_valid_ineq=vi)
         res = solve_milp(model, gap=0.0)
         _, expected = oracles.brute_force_optimum(inst)
         assert res.status == STATUS_OPTIMAL
         assert res.objective == pytest.approx(expected, abs=1e-7)
-        attack = attack_from_solution(inst, index.attack, res.x)
-        assert attack.is_feasible(inst)
+        attack = feasible_attack(model, inst, attack_cols, res.x)
+        assert attack is not None and attack.is_feasible(inst)
 
 
 def test_chain_milp_survival_levels_match_formula():
     rng = np.random.default_rng(32)
     inst = oracles.random_tree_instance(rng, 7, "weighted")
     paths = build_path_table(inst)
-    model, index = build_chain_milp(inst, paths)
+    model, attack_cols = build_chain_milp(inst, paths)
     res = solve_milp(model, gap=0.0)
-    attack = attack_from_solution(inst, index.attack, res.x)
-    for pair in paths.pairs():
-        level = chain_survival_value(index, pair, res.x)
+    attack = feasible_attack(model, inst, attack_cols, res.x)
+    assert attack is not None
+    for pair, col in final_level_cols(model, paths.pairs()).items():
+        level = float(res.x[col])
         expected = oracles.pair_slave_value(inst, paths.path(*pair), attack.flags)
         assert level * inst.pair_cost(*pair) == pytest.approx(expected, abs=1e-6)
 
@@ -104,9 +110,10 @@ def test_chain_lp_at_fixed_binary_attacks_is_the_objective(shape, probs):
     # objective, and every costed level on its path product.
     inst = _projection_instance(shape, probs)
     paths = build_path_table(inst)
-    model, index = build_chain_milp(inst, paths)
+    model, cols = build_chain_milp(inst, paths)
     lower, upper = np.array(model.lower), np.array(model.upper)
-    attack_cols = list(index.attack)
+    attack_cols = list(cols)
+    level_cols = final_level_cols(model, paths.pairs())
     attackable = [i for i in range(inst.node_count) if inst.survival_prob[i] < 1.0]
     for chosen in itertools.product((0, 1), repeat=len(attackable)):
         flags = [0] * inst.node_count
@@ -126,7 +133,7 @@ def test_chain_lp_at_fixed_binary_attacks_is_the_objective(shape, probs):
                     product = math.prod(
                         1.0 - (1.0 - inst.survival_prob[k]) * flags[k] for k in paths.path(*pair)
                     )
-                    level = chain_survival_value(index, pair, res.x)
+                    level = float(res.x[level_cols[pair]])
                     assert level == pytest.approx(product, abs=1e-9)
 
 
@@ -154,11 +161,11 @@ def test_certain_nodes_are_fixed_to_zero():
     for builder, probs in ((build_chain_milp, [1.0, 0.5, 0.3]), (build_ilp_p, [1.0] * 3)):
         inst = make_instance(3, [(0, 1), (1, 2)], probs, [1.0] * 3, None, 3.0)
         for backend in ("highs", "simplex"):
-            model, index = builder(inst, build_path_table(inst))
-            model.objective[index.attack[0]] = -1.0
+            model, attack_cols = builder(inst, build_path_table(inst))
+            model.objective[attack_cols[0]] = -1.0
             res = solve_milp(model, gap=0.0, backend=backend)
             assert res.status == STATUS_OPTIMAL
-            assert res.x[index.attack[0]] == pytest.approx(0.0, abs=1e-9)
+            assert res.x[attack_cols[0]] == pytest.approx(0.0, abs=1e-9)
 
 
 def _assert_attack_block_is_exact(inst):
@@ -283,12 +290,13 @@ def test_selector_formulation_matches_brute_force(p):
     for seed in (40, 41):
         inst = equal_p_instance(8, p, seed)
         paths = build_path_table(inst)
-        model, index = build_ilp_p(inst, paths)
+        model, attack_cols = build_ilp_p(inst, paths)
         res = solve_milp(model, gap=0.0)
         flags, expected = oracles.brute_force_optimum(inst)
         assert res.status == STATUS_OPTIMAL
         assert res.objective == pytest.approx(expected, abs=1e-7)
-        assert attack_from_solution(inst, index.attack, res.x).is_feasible(inst)
+        attack = feasible_attack(model, inst, attack_cols, res.x)
+        assert attack is not None and attack.is_feasible(inst)
 
 
 def test_selector_formulation_rejects_mixed_probabilities():
@@ -303,9 +311,9 @@ def test_selector_count_capped_by_affordable_attacks():
         5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0.5] * 5, [1.0] * 5, None, 2.0
     )
     paths = build_path_table(inst)
-    model, index = build_ilp_p(inst, paths)
+    model, _ = build_ilp_p(inst, paths)
     # pair (0, 4) has 5 path nodes but only selectors 0..2
-    assert len(index.selector[(0, 4)]) == 3
+    assert [name for name in model.var_names if name.startswith("y_0_4_")] == ["y_0_4_0", "y_0_4_1", "y_0_4_2"]
 
 
 def test_model_size_summary():

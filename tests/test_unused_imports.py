@@ -1,5 +1,7 @@
-"""Every name a library module imports is used in that module, and every
-private module-level name is referenced somewhere.
+"""Every name a library module imports is used in that module, every
+private module-level name is referenced somewhere, and every public
+module-level function and class is used by the library or the benchmark,
+not only by tests.
 
 No linter ships with the package, so these scans stand in for one.  The
 package ``__init__`` files import names only to re-export them and are
@@ -79,18 +81,46 @@ def test_private_helper_scan_sees_a_dead_helper():
     assert sorted(set(defined) - referenced_names(tree)) == ["_b", "_dead"]
 
 
-def test_every_private_module_name_is_referenced():
+def unreferenced(definitions, directories: tuple[str, ...]) -> list[str]:
+    """Library definitions, as ``definitions(tree)`` finds them, that no
+    module under ``directories`` references."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
-        for directory in ("src", "tests", "perfbench")
+        for directory in directories
         for path in (ROOT / directory).rglob("*.py")
     }
     referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
-    dead = {
+    return sorted(
         f"{path.relative_to(SRC)}:{line}: {name}"
         for path, tree in trees.items()
         if SRC in path.parents
-        for name, line in private_definitions(tree).items()
+        for name, line in definitions(tree).items()
         if name not in referenced
+    )
+
+
+def test_every_private_module_name_is_referenced():
+    dead = unreferenced(private_definitions, ("src", "tests", "perfbench"))
+    assert not dead, f"private names nothing references: {dead}"
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions and classes whose names do not start with ``_``."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
     }
-    assert not dead, f"private names nothing references: {sorted(dead)}"
+
+
+def test_public_name_scan_sees_a_name_only_tests_use():
+    tree = ast.parse("X = 1\ndef used():\n    pass\nclass Dead:\n    pass\ndef _private():\n    used()\n")
+    defined = public_definitions(tree)
+    assert defined == {"used": 2, "Dead": 4}
+    assert sorted(set(defined) - referenced_names(tree)) == ["Dead"]
+
+
+def test_every_public_library_name_is_used_outside_the_tests():
+    unused = unreferenced(public_definitions, ("src", "perfbench"))
+    assert not unused, f"public names only tests use: {unused}"
