@@ -99,15 +99,25 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class BendersResult:
+    """Outcome of ``bd_scnp``: one trace row per master solve and one
+    record per cut, so ``iterations == len(trace)`` and
+    ``cuts_total == len(cuts)``."""
+
     status: str
     attack: AttackVector | None
     upper_bound: float
     lower_bound: float
-    iterations: int
-    cuts_total: int
     elapsed: float
     trace: tuple[TraceRow, ...]
     cuts: tuple[CutRecord, ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def cuts_total(self) -> int:
+        return len(self.cuts)
 
     def relative_gap(self) -> float:
         if self.upper_bound == 0.0:
@@ -219,7 +229,10 @@ def bd_scnp(
     next master.  Stops when UB - LB <= eps, when no surrogate undercuts
     its slave, or when the time limit expires.  Per-pair arrays follow
     ``paths.pairs()`` order.  A point over the budget gets a cover row
-    instead of cuts, an upper bound or a warm start.
+    instead of cuts, an upper bound or a warm start.  Every master solve
+    appends one trace row, a solve stopped by the time limit too, with no
+    cuts and the bound it proved; so ``iterations == len(trace)``,
+    ``cuts_total == len(cuts)`` and the last row's LB is the result's.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -236,30 +249,24 @@ def bd_scnp(
     lower = 0.0
     upper = math.inf
     incumbent: AttackVector | None = None
-    cuts_total = 0
     trace: list[TraceRow] = []
     cut_log: list[CutRecord] = []
     warm: np.ndarray | None = None
-    iteration = 0
+    done = False
 
-    while True:
-        remaining = None
-        if time_limit is not None:
-            remaining = time_limit - (time.perf_counter() - start)
-            if remaining <= 0.0:
-                status = STATUS_TIME_LIMIT
-                break
-        iteration += 1
+    while not done:
+        remaining = None if time_limit is None else time_limit - (time.perf_counter() - start)
+        if remaining is not None and remaining <= 0.0:
+            break
         res = solve_milp(master, gap=master_gap, time_limit=remaining, backend=backend, warm_start=warm)
         if res.status == STATUS_INFEASIBLE:
             raise MasterInfeasible("master rejected all attack vectors including v = 0")
-        if res.status == STATUS_TIME_LIMIT or res.x is None:
-            if res.bound is not None and math.isfinite(res.bound):
-                lower = max(lower, min(res.bound, upper))
-            status = STATUS_TIME_LIMIT
-            break
-        lower = max(lower, min(res.bound, res.objective))
-        flags = feasible_attack(master, instance, attack_cols, res.x)
+        finished = res.status != STATUS_TIME_LIMIT and res.x is not None
+        if finished:
+            lower = max(lower, min(res.bound, res.objective))
+        elif res.bound is not None and math.isfinite(res.bound):
+            lower = max(lower, min(res.bound, upper))
+        flags = feasible_attack(master, instance, attack_cols, res.x) if finished else None
         if flags is not None:
             values = pair_values(instance, paths, flags)
             candidate = math.fsum(values)
@@ -267,8 +274,8 @@ def bd_scnp(
                 upper = candidate
                 incumbent = flags
 
-        done = upper - lower <= eps
-        added = 0
+        done = finished and upper - lower <= eps
+        cuts_before = len(cut_log)
         if flags is not None and not done:
             z = res.x[z_cols]
             for k in np.flatnonzero(z < values - 1e-9):
@@ -276,7 +283,7 @@ def bd_scnp(
                 path = paths.path(i, j)
                 cut = cut_from_duals(analytic_dual(instance, path, flags), instance, path)
                 master.add_row(
-                    f"cut{cuts_total + added}_{i}_{j}",
+                    f"cut{len(cut_log)}_{i}_{j}",
                     [int(z_cols[k])] + [attack_cols[node] for node, _ in cut.coefficients],
                     [1.0] + [-c for _, c in cut.coefficients],
                     GREATER_EQUAL,
@@ -284,43 +291,38 @@ def bd_scnp(
                 )
                 cut_log.append(
                     CutRecord(
-                        iteration=iteration,
+                        iteration=len(trace) + 1,
                         cut=cut,
                         master_flags=flags.flags,
                         master_z=float(z[k]),
                         slave_value=float(values[k]),
                     )
                 )
-                added += 1
             # No undercut pair at a feasible point: every surrogate matches
             # its slave, so the master value is exact and the remaining gap
             # is solver tolerance.
-            done = added == 0
+            done = len(cut_log) == cuts_before
             warm = np.zeros(master.num_variables)
             warm[list(attack_cols)] = flags.flags
             warm[z_cols] = values
-        cuts_total += added
         trace.append(
             TraceRow(
-                iteration=iteration,
+                iteration=len(trace) + 1,
                 lower_bound=lower,
                 upper_bound=upper,
-                cuts_added=added,
-                cuts_total=cuts_total,
+                cuts_added=len(cut_log) - cuts_before,
+                cuts_total=len(cut_log),
                 elapsed=time.perf_counter() - start,
             )
         )
-        if done:
-            status = STATUS_OPTIMAL
+        if not finished:
             break
 
     return BendersResult(
-        status=status,
+        status=STATUS_OPTIMAL if done else STATUS_TIME_LIMIT,
         attack=incumbent,
         upper_bound=upper,
         lower_bound=lower,
-        iterations=iteration,
-        cuts_total=cuts_total,
         elapsed=time.perf_counter() - start,
         trace=tuple(trace),
         cuts=tuple(cut_log),

@@ -129,8 +129,20 @@ def simplex_solve(
             raise NumericalFailure("non-finite basic values after refactorization")
         x[basis] = xb
 
+    def pivot(pos: int, enter: int, w: np.ndarray) -> None:
+        """Make ``enter`` basic at ``pos``: rank-1 update of b_inv by the
+        entering column's image ``w = b_inv @ a[:, enter]``."""
+        nonlocal b_inv
+        basis[pos] = enter
+        status[enter] = 0
+        pivot_row = b_inv[pos] / w[pos]
+        w_rest = w.copy()
+        w_rest[pos] = 0.0
+        b_inv -= np.outer(w_rest, pivot_row)
+        b_inv[pos] = pivot_row
+
     def run_phase(cost: np.ndarray, phase1: bool) -> str:
-        nonlocal iterations, b_inv
+        nonlocal iterations
         degen_streak = 0
         bland = False
         etas = 0
@@ -203,17 +215,9 @@ def simplex_solve(
             x[leave] = lb[leave] if hit_lower else ub[leave]
             status[leave] = _AT_LOWER if hit_lower else _AT_UPPER
             x[enter] = x[enter] + delta * t
-            basis[pos] = enter
-            status[enter] = 0
-
-            pivot = w[pos]
-            if abs(pivot) < _PIVOT_TOL:
+            if abs(w[pos]) < _PIVOT_TOL:
                 raise NumericalFailure("vanishing pivot element")
-            pivot_row = b_inv[pos] / pivot
-            w_rest = w.copy()
-            w_rest[pos] = 0.0
-            b_inv -= np.outer(w_rest, pivot_row)
-            b_inv[pos] = pivot_row
+            pivot(pos, enter, w)
             etas += 1
             if etas >= _REFACTOR_EVERY:
                 refactor()
@@ -232,29 +236,15 @@ def simplex_solve(
     for pos in range(m):
         if basis[pos] < art0:
             continue
-        row = b_inv[pos] @ a[:, : n + m]
-        best = -1.0
-        enter = -1
-        for j in range(n + m):
-            if status[j] == 0 or fixed[j]:
-                continue
-            if abs(row[j]) > max(best, _FEAS_TOL):
-                best = abs(row[j])
-                enter = j
-        if enter < 0:
+        usable = (status[: n + m] != 0) & ~fixed[: n + m]
+        magnitude = np.where(usable, np.abs(b_inv[pos] @ a[:, : n + m]), 0.0)
+        enter = int(np.argmax(magnitude))
+        if magnitude[enter] <= _FEAS_TOL:
             continue
-        w = b_inv @ a[:, enter]
         leave = int(basis[pos])
         x[leave] = 0.0
         status[leave] = _AT_LOWER
-        basis[pos] = enter
-        status[enter] = 0
-        pivot = w[pos]
-        pivot_row = b_inv[pos] / pivot
-        w_rest = w.copy()
-        w_rest[pos] = 0.0
-        b_inv -= np.outer(w_rest, pivot_row)
-        b_inv[pos] = pivot_row
+        pivot(pos, enter, b_inv @ a[:, enter])
     lb[art0:] = 0.0
     ub[art0:] = 0.0
     fixed[art0:] = True

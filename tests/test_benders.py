@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from scnptree import bd_scnp, generate_instance, make_instance, objective_tree
+from scnptree import bd_scnp, benders, generate_instance, make_instance, objective_tree
 from scnptree.benders import (
     TRACE_HEADER,
     PathDuals,
@@ -23,7 +23,14 @@ from scnptree.benders import (
 )
 from scnptree.instance import AttackVector, build_path_table
 from scnptree.evaluator import exhaustive_solve
-from scnptree.milpcore import STATUS_OPTIMAL, STATUS_TIME_LIMIT, LinearModel, solve_lp, solve_milp
+from scnptree.milpcore import (
+    STATUS_OPTIMAL,
+    STATUS_TIME_LIMIT,
+    LinearModel,
+    SolveResult,
+    solve_lp,
+    solve_milp,
+)
 from scnptree.models import _chain_rows, build_chain_milp
 
 
@@ -257,6 +264,34 @@ def test_time_limit_reports_honest_bounds():
     assert res.status == STATUS_TIME_LIMIT
     assert res.lower_bound <= optimum + 1e-9
     assert optimum <= res.upper_bound + 1e-9
+
+
+def test_a_master_stopped_by_the_clock_gets_its_trace_row(monkeypatch, tmp_path):
+    # the second master stops on the clock with the bound the real solve
+    # proved: that round gets a row with no cuts and the result's LB
+    real_solve = benders.solve_milp
+    masters = []
+
+    def second_master_stops(*args, **kwargs):
+        res = real_solve(*args, **kwargs)
+        masters.append(res)
+        if len(masters) == 2:
+            return SolveResult(status=STATUS_TIME_LIMIT, bound=res.bound)
+        return res
+
+    monkeypatch.setattr(benders, "solve_milp", second_master_stops)
+    res = bd_scnp(generate_instance(10, "type1", 62), eps=1e-6)
+    assert len(masters) == 2
+    assert res.status == STATUS_TIME_LIMIT
+    assert res.iterations == len(res.trace) == 2
+    assert res.cuts_total == len(res.cuts) == res.trace[-1].cuts_total > 0
+    assert res.trace[-1].lower_bound == res.lower_bound > res.trace[0].lower_bound
+    assert res.trace[-1].cuts_added == 0
+    out = tmp_path / "trace.csv"
+    write_trace_csv(res, out)
+    with open(out, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows[-1]["LB"] == f"{res.lower_bound:.9g}"
 
 
 @pytest.mark.parametrize("scheme", ["type1", "type2"])

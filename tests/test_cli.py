@@ -2,6 +2,7 @@
 record contracts, benchmark persistence and resume, reductions, and the
 documented exit codes."""
 
+import csv
 import json
 import time
 
@@ -202,6 +203,25 @@ def test_solve_writes_benders_trace(tmp_path, capsys):
     lines = trace.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "iteration,LB,UB,cuts_added,cumulative_cuts,elapsed"
     assert len(lines) >= 2
+
+
+def test_time_limited_benders_trace_has_a_row_per_round(tmp_path, capsys):
+    # n40 type3 runs past 240 s in the cut loop: the limit stops it, and
+    # the trace still has one row per round, the last with the record's LB
+    path = tmp_path / "inst.json"
+    write_instance(generate_instance(40, "type3", 1), path)
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run(
+        capsys, "solve", str(path), "--method", "benders", "--time-limit", "0.3",
+        "--trace", str(trace),
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["status"] == "TimeLimit"
+    with open(trace, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == record["iterations"] > 0
+    assert rows[-1]["LB"] == f"{record['bound']:.9g}"
 
 
 def test_solve_time_limit_reports_the_limit(tmp_path, capsys):

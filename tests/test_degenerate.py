@@ -2,17 +2,20 @@
 paths, zero budget, survival probabilities of 0 and 1, and zero-cost
 pairs, checked against the brute-force oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scnptree import cli
 from scnptree.benders import bd_scnp
 from scnptree.cli import solve_instance
 from scnptree.evaluator import objective_tree
 from scnptree.instance import AttackVector, build_path_table, make_instance
-from scnptree.milpcore import LESS_EQUAL
+from scnptree.milpcore import LESS_EQUAL, STATUS_TIME_LIMIT, SolveResult
 from scnptree.models import build_chain_milp, feasible_attack
 
 
@@ -86,6 +89,28 @@ def test_a_solver_point_over_the_budget_gets_one_cover_row(method, backend):
     assert attack.is_feasible(OVER_BUDGET_PATH)
     assert record["value"] == pytest.approx(1.351, abs=1e-9)
     assert record["bound"] == pytest.approx(1.351, abs=1e-8)
+
+
+@pytest.mark.parametrize("backend", ("highs", "simplex"))
+def test_a_re_solve_stopped_at_its_root_keeps_the_first_bound(monkeypatch, backend):
+    # the cover-row re-solve stops at its root with no bound; the first
+    # solve's bound still holds, since cover rows cut off only infeasible
+    # attacks
+    real_solve = cli.solve_milp
+    solves = []
+
+    def second_solve_stops(*args, **kwargs):
+        solves.append(args)
+        if len(solves) == 2:
+            return SolveResult(status=STATUS_TIME_LIMIT, bound=-math.inf)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_milp", second_solve_stops)
+    record = solve_instance(OVER_BUDGET_PATH, "milp", {"eps": 1e-9, "backend": backend})
+    assert len(solves) == 2
+    assert record["status"] == STATUS_TIME_LIMIT
+    assert record["bound"] is not None
+    assert math.isfinite(record["bound"]) and record["bound"] <= 1.351 + 1e-9
 
 
 def test_the_over_budget_path_has_a_feasible_optimum():

@@ -31,5 +31,8 @@ def test_whole_calls_stop_near_their_time_limit():
     assert time.perf_counter() - started < LIMIT + OVERRUN
     assert result.status == STATUS_TIME_LIMIT
     assert math.isfinite(result.lower_bound)
+    assert result.iterations == len(result.trace)
+    if result.trace:
+        assert result.trace[-1].lower_bound == result.lower_bound
     if math.isfinite(result.upper_bound):
         assert result.lower_bound <= result.upper_bound + 1e-9
