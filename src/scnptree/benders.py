@@ -6,8 +6,9 @@ chain LP that ``models._chain_rows`` writes for the pair's path, at fixed
 v, solved in closed form.  Dual values for every slave are available
 analytically, so optimality cuts cost O(path length) and never touch an
 LP.  Lower bounds come from the master, upper bounds from evaluating the
-incumbent flags; the loop stops when they meet within ``eps``.  Master
-points over the budget are cut off by ``models.feasible_attack``.
+incumbent flags; the loop stops when they meet within ``eps``.  The
+attack block's lazy-row check keeps every master point within the budget,
+so each finished master solve yields a feasible attack.
 """
 
 from __future__ import annotations
@@ -228,11 +229,10 @@ def bd_scnp(
     by more than 1e-9.  The previous flags and slave values warm-start the
     next master.  Stops when UB - LB <= eps, when no surrogate undercuts
     its slave, or when the time limit expires.  Per-pair arrays follow
-    ``paths.pairs()`` order.  A point over the budget gets a cover row
-    instead of cuts, an upper bound or a warm start.  Every master solve
-    appends one trace row, a solve stopped by the time limit too, with no
-    cuts and the bound it proved; so ``iterations == len(trace)``,
-    ``cuts_total == len(cuts)`` and the last row's LB is the result's.
+    ``paths.pairs()`` order.  Every master solve appends one trace row, a
+    solve stopped by the time limit too, with no cuts and the bound it
+    proved; so ``iterations == len(trace)``, ``cuts_total == len(cuts)``
+    and the last row's LB is the result's.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -264,19 +264,18 @@ def bd_scnp(
         finished = res.status != STATUS_TIME_LIMIT and res.x is not None
         if finished:
             lower = max(lower, min(res.bound, res.objective))
-        elif res.bound is not None and math.isfinite(res.bound):
-            lower = max(lower, min(res.bound, upper))
-        flags = feasible_attack(master, instance, attack_cols, res.x) if finished else None
-        if flags is not None:
+            flags = feasible_attack(master, instance, attack_cols, res.x)
             values = pair_values(instance, paths, flags)
             candidate = math.fsum(values)
             if candidate < upper - 1e-12:
                 upper = candidate
                 incumbent = flags
+        elif res.bound is not None and math.isfinite(res.bound):
+            lower = max(lower, min(res.bound, upper))
 
         done = finished and upper - lower <= eps
         cuts_before = len(cut_log)
-        if flags is not None and not done:
+        if finished and not done:
             z = res.x[z_cols]
             for k in np.flatnonzero(z < values - 1e-9):
                 i, j = pairs[k]

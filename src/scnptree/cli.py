@@ -121,16 +121,10 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
         else:
             model, attack_cols = models.build_ilp_p(instance, paths)
         res = solve_milp(model, gap=eps, time_limit=time_limit, backend=backend)
-        nodes, attack, bound = res.nodes, None, res.bound
-        # solve again while the point is over the budget and gets a cover row;
-        # cover rows cut off only infeasible attacks, so every bound holds
-        while res.x is not None and (attack := models.feasible_attack(model, instance, attack_cols, res.x)) is None:
-            remaining = None if time_limit is None else max(time_limit - (time.perf_counter() - started), 0.0)
-            res = solve_milp(model, gap=eps, time_limit=remaining, backend=backend)
-            nodes += res.nodes
-            bound = max(bound, res.bound)
-        value, status = res.objective, res.status
-        record["iterations"] = nodes
+        attack = None if res.x is None else models.feasible_attack(model, instance, attack_cols, res.x)
+        value = None if attack is None else objective_tree(instance, paths, attack)
+        bound, status = res.bound, res.status
+        record["iterations"] = res.nodes
     elif method == "dp":
         result = dp_mod.dp_solve(instance, max_attacks(instance), params.get("nu", 4))
         attack, value, bound = result.attack, result.exact_value, result.truncated_value

@@ -5,6 +5,12 @@ containing the rounded LP value, and backtracks to the open node with the
 best bound.  Terminates at a proven absolute gap: every discarded node had
 an LP bound within ``gap`` of the incumbent, so the reported bound is never
 more than ``gap`` below the returned objective.
+
+A model's ``lazy_rows`` check runs on every integral LP point that would
+become the incumbent.  When it appends rows that cut the point off, the
+same node is solved again with the same bounds and estimate, so one search
+covers rows that only show up at integral points; a row that cuts off no
+feasible point of the model leaves every bound valid.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ def _validate_warm_start(model: LinearModel, x: np.ndarray) -> float:
         raise ValueError(f"warm start not integral on {model.var_names[np.argmax(off)]}")
     if not model.is_feasible(x, tol=1e-7):
         raise ValueError("warm start violates bounds or rows")
+    if model.lazy_rows is not None and model.lazy_rows(model, x):
+        raise ValueError("warm start cut off by the model's lazy rows")
     return model.objective_value(x)
 
 
@@ -66,7 +74,8 @@ def solve_milp(
     ``gap`` is absolute: the search stops once no open node can beat the
     incumbent by more than ``gap``, or with TimeLimit once ``time_limit``
     seconds have passed.  ``warm_start`` must be a feasible integral point
-    and seeds the incumbent.  Unbounded refers to the root relaxation.
+    that the model's ``lazy_rows`` check keeps, and seeds the incumbent.
+    Unbounded refers to the root relaxation.
     """
     start = time.perf_counter()
     incumbent_x: np.ndarray | None = None
@@ -133,6 +142,9 @@ def solve_milp(
         best_j = _branch_column(x, int_idx)
         if best_j < 0:
             if obj < incumbent_obj - 1e-12:
+                if model.lazy_rows is not None and model.lazy_rows(model, x):
+                    dive = (est, lo, hi)
+                    continue
                 incumbent_obj = obj
                 incumbent_x = x.copy()
             continue

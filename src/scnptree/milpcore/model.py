@@ -50,7 +50,15 @@ class SolveResult:
 
 
 class LinearModel:
-    """Sparse minimization model with bounded, optionally integer variables."""
+    """Sparse minimization model with bounded, optionally integer variables.
+
+    Two fields are the builder's to set.  ``start_basis`` seeds a cold LP
+    start.  ``lazy_rows``, when set, is a check ``lazy_rows(model, x) ->
+    bool`` on an integral point: True means it has appended rows that cut
+    ``x`` off, and ``solve_milp`` accepts no incumbent or warm start it
+    cuts off.  It takes the model as an argument, so it must not hold the
+    model itself; that would keep the model and its LP session alive.
+    """
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
@@ -69,6 +77,8 @@ class LinearModel:
         # basic and every other column sits at its lower bound.  Empty
         # means the solver's own (slack) start.
         self.start_basis: list[tuple[int, int]] = []
+        # None, or the lazy-row check described in the class docstring
+        self.lazy_rows = None
         self._var_index: dict[str, int] = {}
 
     # -- construction -----------------------------------------------------
@@ -150,6 +160,8 @@ class LinearModel:
 
     def is_feasible(self, x: np.ndarray, tol: float = 1e-7) -> bool:
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            return False
         if np.any(x < np.asarray(self.lower) - tol) or np.any(x > np.asarray(self.upper) + tol):
             return False
         act = self.row_activity(x)

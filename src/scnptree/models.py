@@ -22,6 +22,9 @@ dominance rows.  Both builders return the model and its attack columns.
 ``feasible_attack`` is the one read-off of a solver point for these
 models and the cut loop's master: it rounds the attack columns and
 returns the attack if it is feasible, else cuts it off with a cover row.
+The attack block installs it as the model's ``lazy_rows`` check, so
+``solve_milp`` on any model with the block, the cut loop's master
+included, returns only feasible attacks.
 
 Both record a structural start basis for HiGHS (``LinearModel.start_basis``)
 at v = 0: each survival column basic in the row that pins it (``sfirst``
@@ -97,6 +100,8 @@ def _add_attack_block(
     if add_valid_ineq:
         for i, j in valid_inequalities(instance):
             model.add_row(f"dom_{i}_{j}", [attack[i], attack[j]], [1.0, -1.0], LESS_EQUAL, 0.0)
+    # the check gets the model as an argument and must not hold it
+    model.lazy_rows = lambda m, x: feasible_attack(m, instance, attack, x) is None
     return attack
 
 
@@ -203,12 +208,14 @@ def feasible_attack(
     """The attack of a solver point's rounded attack columns if it is
     feasible; otherwise None, after cutting it off in ``model``.
 
-    Solvers accept a budget row within their tolerance (1e-7), wider than
-    the slack ``AttackVector.is_feasible`` allows, so with fractional costs
-    an attack S just over the budget can come back as optimal.  The cover
-    row, the sum of v over S at most |S| - 1, removes S and every attack
-    containing it; costs are nonnegative, so all of those are infeasible
-    too, and the row removes no feasible attack.
+    LP solvers accept a budget row within their tolerance (1e-7), wider
+    than the slack ``AttackVector.is_feasible`` allows, so with fractional
+    costs an attack S just over the budget can be an integral LP optimum.
+    The cover row, the sum of v over S at most |S| - 1, removes S and every
+    attack containing it; costs are nonnegative, so all of those are
+    infeasible too, and the row removes no feasible attack.  As the
+    model's ``lazy_rows`` check this runs inside branch and bound, so a
+    point ``solve_milp`` returns always reads off as a feasible attack.
     """
     attack = AttackVector(tuple(1 if round(float(x[c])) >= 1 else 0 for c in attack_cols))
     if attack.is_feasible(instance):

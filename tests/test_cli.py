@@ -3,6 +3,7 @@ record contracts, benchmark persistence and resume, reductions, and the
 documented exit codes."""
 
 import csv
+import dataclasses
 import json
 import time
 
@@ -126,6 +127,18 @@ def test_solve_uniform_probability_method(tmp_path, capsys):
     record = json.loads(out)
     _, opt = exhaustive_solve(inst)
     assert record["value"] == pytest.approx(opt, abs=1e-5)
+
+
+@pytest.mark.parametrize("method", ["milp", "ilp-p"])
+def test_milp_records_report_the_exact_objective_of_their_attack(method):
+    # the LP's own arithmetic is 4.3e-14 off for milp here, and -7.1e-15
+    # off for ilp-p on the twin with every p = 0.3
+    inst = generate_instance(8, "type1", 0)
+    if method == "ilp-p":
+        inst = dataclasses.replace(inst, survival_prob=(0.3,) * 8)
+    record = cli.solve_instance(inst, method, {})
+    attack = AttackVector.from_nodes(record["attack"], 8)
+    assert record["value"] == objective_tree(inst, build_path_table(inst), attack)
 
 
 def test_solve_dp_record_has_slack_bound(tmp_path, capsys):

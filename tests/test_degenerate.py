@@ -2,8 +2,6 @@
 paths, zero budget, survival probabilities of 0 and 1, and zero-cost
 pairs, checked against the brute-force oracle."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +13,8 @@ from scnptree.benders import bd_scnp
 from scnptree.cli import solve_instance
 from scnptree.evaluator import objective_tree
 from scnptree.instance import AttackVector, build_path_table, make_instance
-from scnptree.milpcore import LESS_EQUAL, STATUS_TIME_LIMIT, SolveResult
-from scnptree.models import build_chain_milp, feasible_attack
+from scnptree.milpcore import LESS_EQUAL, solve_milp
+from scnptree.models import build_chain_milp, build_ilp_p, feasible_attack
 
 
 @st.composite
@@ -74,8 +72,8 @@ OVER_BUDGET_PATH = make_instance(
 @pytest.mark.parametrize("backend", ("highs", "simplex"))
 @pytest.mark.parametrize("method", ("milp", "benders"))
 def test_a_solver_point_over_the_budget_gets_one_cover_row(method, backend):
-    # the solvers return {1, 2}; feasible_attack rejects it and cuts it off
-    # with the cover row v_1 + v_2 <= 1, so both methods solve again
+    # the LPs reach {1, 2}; feasible_attack rejects it and cuts it off with
+    # the cover row v_1 + v_2 <= 1, and both methods still end optimal
     model, attack_cols = build_chain_milp(OVER_BUDGET_PATH, build_path_table(OVER_BUDGET_PATH))
     rows = model.num_rows
     point = np.zeros(model.num_variables)
@@ -92,25 +90,22 @@ def test_a_solver_point_over_the_budget_gets_one_cover_row(method, backend):
 
 
 @pytest.mark.parametrize("backend", ("highs", "simplex"))
-def test_a_re_solve_stopped_at_its_root_keeps_the_first_bound(monkeypatch, backend):
-    # the cover-row re-solve stops at its root with no bound; the first
-    # solve's bound still holds, since cover rows cut off only infeasible
-    # attacks
+def test_a_milp_record_comes_from_one_search(monkeypatch, backend):
+    # the cover row is added inside branch and bound, so the over-budget
+    # point costs no second solve
     real_solve = cli.solve_milp
     solves = []
 
-    def second_solve_stops(*args, **kwargs):
+    def counted(*args, **kwargs):
         solves.append(args)
-        if len(solves) == 2:
-            return SolveResult(status=STATUS_TIME_LIMIT, bound=-math.inf)
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_milp", second_solve_stops)
+    monkeypatch.setattr(cli, "solve_milp", counted)
     record = solve_instance(OVER_BUDGET_PATH, "milp", {"eps": 1e-9, "backend": backend})
-    assert len(solves) == 2
-    assert record["status"] == STATUS_TIME_LIMIT
-    assert record["bound"] is not None
-    assert math.isfinite(record["bound"]) and record["bound"] <= 1.351 + 1e-9
+    assert len(solves) == 1
+    assert AttackVector.from_nodes(record["attack"], 4).is_feasible(OVER_BUDGET_PATH)
+    assert record["value"] == pytest.approx(1.351, abs=1e-9)
+    assert record["bound"] <= record["value"] + 1e-9
 
 
 def test_the_over_budget_path_has_a_feasible_optimum():
@@ -143,8 +138,8 @@ def near_budget_instances(draw):
     return make_instance(n, edges, probs, kappa, None, budget)
 
 
-# equal p, and the attack {0, 1} 5e-8 over the budget: ilp-p meets it on
-# both backends and cuts it off with a cover row
+# equal p, and the attack {0, 1} 5e-8 over the budget: ilp-p's search
+# meets it on both backends and cuts it off with a cover row
 EQUAL_P_OVER_BUDGET_PATH = make_instance(3, [(0, 1), (1, 2)], [0.1] * 3, [0.33333335, 0.6666667, 0.6], None, 1.0)
 
 
@@ -165,14 +160,33 @@ def test_exact_methods_match_exhaustive_near_the_budget(inst):
 
 @pytest.mark.parametrize("backend", ("highs", "simplex"))
 @pytest.mark.parametrize("inst", (OVER_BUDGET_PATH, EQUAL_P_OVER_BUDGET_PATH), ids=("path", "equal_p"))
-def test_the_cut_loop_skips_over_budget_master_points(inst, backend):
-    # each run meets one master point over the budget: that round adds a
-    # cover row but no cut, keeps the upper bound and still gets a trace row
+def test_the_cut_loop_meets_only_feasible_master_points(inst, backend):
+    # the master's search cuts the point over the budget off itself, so
+    # every round before the last adds cuts
     res = bd_scnp(inst, eps=1e-9, backend=backend)
     assert res.iterations == len(res.trace)
-    assert any(row.cuts_added == 0 for row in res.trace[:-1])
+    assert all(row.cuts_added > 0 for row in res.trace[:-1])
     for before, after in zip(res.trace, res.trace[1:]):
         assert after.lower_bound >= before.lower_bound
         assert after.upper_bound <= before.upper_bound
     assert all(AttackVector(record.master_flags).is_feasible(inst) for record in res.cuts)
     assert res.attack is not None and res.attack.is_feasible(inst)
+
+
+@pytest.mark.parametrize("backend", ("highs", "simplex"))
+@pytest.mark.parametrize(
+    "inst, build",
+    (
+        (OVER_BUDGET_PATH, build_chain_milp),
+        (EQUAL_P_OVER_BUDGET_PATH, build_ilp_p),
+    ),
+    ids=("milp", "ilp_p"),
+)
+def test_solve_milp_on_an_attack_model_returns_a_feasible_attack(inst, build, backend):
+    # no caller read-off needed: the attack block's lazy rows keep the
+    # search's incumbent within the budget
+    model, attack_cols = build(inst, build_path_table(inst))
+    res = solve_milp(model, gap=1e-9, backend=backend)
+    attack = AttackVector(tuple(round(float(res.x[c])) for c in attack_cols))
+    assert attack.is_feasible(inst)
+    assert res.objective == pytest.approx(solve_instance(inst, "exhaustive", {})["value"], abs=1e-8)

@@ -603,6 +603,8 @@ def test_warm_start_check_on_edge_points():
     }
     for point, accepted in cases.items():
         assert _warm_start_accepted(m, point) is accepted, point
+        if not np.isfinite(point).all():
+            assert not m.is_feasible(np.array(point)), point
     rng = np.random.default_rng(8)
     grid = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
     for _ in range(2000):
@@ -681,6 +683,67 @@ def test_branch_and_bound_stops_on_a_node_time_limit(monkeypatch):
     assert res.nodes == 2
     assert res.bound is not None
     assert res.bound <= brute_force_binary(m, 3) + 1e-9
+
+
+def _forbid_x0_and_x1(model: LinearModel, x: np.ndarray) -> bool:
+    """Lazy-row check: x0 and x1 may not both be 1."""
+    if round(x[0]) + round(x[1]) < 2:
+        return False
+    model.add_row(f"lazy{model.num_rows}", [0, 1], [1.0, 1.0], LESS_EQUAL, 1.0)
+    return True
+
+
+def _lazy_knapsack() -> LinearModel:
+    # min -5 x0 - 4 x1 - 3 x2 with 2 (x0 + x1 + x2) <= 5: the root LP is
+    # (1, 1, 0.5) and the dive's first integral point (1, 1, 0), which the
+    # check cuts off; the best point it keeps is (1, 0, 1) at -8
+    m = LinearModel("lazy")
+    for j, v in enumerate((-5.0, -4.0, -3.0)):
+        m.add_variable(f"x{j}", 0.0, 1.0, v, integer=True)
+    m.add_row("cap", [0, 1, 2], [2.0, 2.0, 2.0], LESS_EQUAL, 5.0)
+    m.lazy_rows = _forbid_x0_and_x1
+    return m
+
+
+@pytest.mark.parametrize("backend", LP_PATHS, indirect=True)
+def test_branch_and_bound_checks_lazy_rows_at_each_incumbent(backend):
+    m = _lazy_knapsack()
+    res = solve_milp(m, gap=0.0, backend=backend)
+    assert res.status == STATUS_OPTIMAL
+    assert res.objective == pytest.approx(-8.0)
+    assert np.round(res.x).tolist() == [1.0, 0.0, 1.0]
+    assert res.bound <= res.objective + 1e-9
+    assert m.num_rows == 2
+    assert brute_force_binary(m, 3) == pytest.approx(-8.0)
+
+
+def test_a_warm_start_the_lazy_rows_cut_off_is_rejected():
+    with pytest.raises(ValueError, match="lazy rows"):
+        solve_milp(_lazy_knapsack(), gap=0.0, warm_start=np.array([1.0, 1.0, 0.0]))
+    res = solve_milp(_lazy_knapsack(), gap=0.0, warm_start=np.array([0.0, 1.0, 1.0]))
+    assert res.objective == pytest.approx(-8.0)
+
+
+def test_a_search_stopped_after_a_lazy_row_keeps_a_valid_bound(monkeypatch):
+    # the LP re-solve of the node whose point the check cut off runs out
+    # of time: the search ends as a timeout with a finite, proven bound
+    m = _lazy_knapsack()
+    real = branchbound.solve_lp
+    calls = []
+
+    def re_solve_times_out(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            return SolveResult(status=STATUS_TIME_LIMIT)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(branchbound, "solve_lp", re_solve_times_out)
+    res = solve_milp(m, gap=0.0)
+    assert len(calls) == 3
+    assert m.num_rows == 2
+    assert res.status == STATUS_TIME_LIMIT
+    assert res.x is None
+    assert math.isfinite(res.bound) and res.bound <= -8.0 + 1e-9
 
 
 def test_simplex_refuses_oversized_dense_model():

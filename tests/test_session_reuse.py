@@ -101,6 +101,22 @@ def test_the_spare_list_stays_within_its_cap():
     assert len(backends._spares) <= backends._SPARE_CAP
 
 
+def test_a_model_with_lazy_rows_hands_its_object_back_without_gc():
+    # the attack block's lazy-row check does not hold the model, so
+    # reference counting alone ends the model and its session
+    model = _chain(6, "type1", 1)
+    assert model.lazy_rows is not None
+    assert solve_milp(model, gap=1e-6).status == STATUS_OPTIMAL
+    highs = backends._sessions[model].highs
+    backends._spares.clear()
+    gc.disable()
+    try:
+        del model
+        assert backends._spares == [highs]
+    finally:
+        gc.enable()
+
+
 def test_options_survive_recycling():
     solve_lp(_chain(6, "type1", 1))
     gc.collect()
