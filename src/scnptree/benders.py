@@ -5,10 +5,13 @@ under the shared attack block of ``models``; each pair's slave is the
 chain LP that ``models._chain_rows`` writes for the pair's path, at fixed
 v, solved in closed form.  Dual values for every slave are available
 analytically, so optimality cuts cost O(path length) and never touch an
-LP.  Lower bounds come from the master, upper bounds from evaluating the
-incumbent flags; the loop stops when they meet within ``eps``.  The
-attack block's lazy-row check keeps every master point within the budget,
-so each finished master solve yields a feasible attack.
+LP.  The cuts are lazy rows of one branch-and-bound search over the
+master: at every integral point the search would accept, the check
+evaluates the flags for an upper bound and cuts the point off wherever a
+surrogate undercuts its slave, and the search's own bound is the lower
+bound.  The search stops when they meet within ``eps``.  The attack
+block's cover check runs first, so every priced point is a feasible
+attack.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from scnptree.evaluator import pair_values
 from scnptree.instance import AttackVector, TreeInstance, build_path_table, normalize_pair
 from scnptree.milpcore import (
     STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
     GREATER_EQUAL,
     LinearModel,
@@ -100,9 +102,9 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class BendersResult:
-    """Outcome of ``bd_scnp``: one trace row per master solve and one
-    record per cut, so ``iterations == len(trace)`` and
-    ``cuts_total == len(cuts)``."""
+    """Outcome of ``bd_scnp``: one trace row per check that added cuts
+    plus a final row for the end of the search, and one record per cut,
+    so ``iterations == len(trace)`` and ``cuts_total == len(cuts)``."""
 
     status: str
     attack: AttackVector | None
@@ -221,18 +223,17 @@ def bd_scnp(
     use_valid_ineq: bool = True,
     backend: str = "auto",
 ) -> BendersResult:
-    """Exact minimization by iterating master solves and analytic cuts.
+    """Exact minimization by one master search with analytic lazy cuts.
 
-    Each round solves the master to (near) optimality, reads off a lower
-    bound, evaluates every slave at the proposed flags for an upper bound,
-    and appends one cut per pair whose surrogate undercuts its slave value
-    by more than 1e-9.  The previous flags and slave values warm-start the
-    next master.  Stops when UB - LB <= eps, when no surrogate undercuts
-    its slave, or when the time limit expires.  Per-pair arrays follow
-    ``paths.pairs()`` order.  Every master solve appends one trace row, a
-    solve stopped by the time limit too, with no cuts and the bound it
-    proved; so ``iterations == len(trace)``, ``cuts_total == len(cuts)``
-    and the last row's LB is the result's.
+    The master's lazy-row check runs the attack block's cover check,
+    evaluates every slave at the point's flags for an upper bound, and
+    appends one cut per pair whose surrogate undercuts its slave value by
+    more than 1e-9; a check that adds cuts writes a trace row whose LB is
+    the search's bound at that moment.  The search closes at absolute gap
+    ``eps`` or stops at the time limit, and then writes a final row with
+    no cuts and the bound it proved; so ``iterations == len(trace)``,
+    ``cuts_total == len(cuts)`` and the last row's LB is the result's.
+    Per-pair arrays follow ``paths.pairs()`` order.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -244,81 +245,69 @@ def bd_scnp(
     z_cols = np.array(
         [master.add_variable(f"z_{i}_{j}", objective=1.0) for i, j in pairs], dtype=np.intp
     )
-    master_gap = min(1e-6, max(eps * 0.25, 1e-12))
 
     lower = 0.0
     upper = math.inf
     incumbent: AttackVector | None = None
     trace: list[TraceRow] = []
     cut_log: list[CutRecord] = []
-    warm: np.ndarray | None = None
-    done = False
 
-    while not done:
-        remaining = None if time_limit is None else time_limit - (time.perf_counter() - start)
-        if remaining is not None and remaining <= 0.0:
-            break
-        res = solve_milp(master, gap=master_gap, time_limit=remaining, backend=backend, warm_start=warm)
+    def add_trace_row(bound: float, cuts_added: int) -> None:
+        nonlocal lower
+        lower = max(lower, min(bound, upper))
+        elapsed = time.perf_counter() - start
+        trace.append(TraceRow(len(trace) + 1, lower, upper, cuts_added, len(cut_log), elapsed))
+
+    # the check gets the master as an argument and must not hold it
+    def cut_off(model: LinearModel, x: np.ndarray, bound: float) -> bool:
+        nonlocal upper, incumbent
+        flags = feasible_attack(model, instance, attack_cols, x)
+        if flags is None:
+            return True
+        values = pair_values(instance, paths, flags)
+        candidate = math.fsum(values)
+        if candidate < upper - 1e-12:
+            upper = candidate
+            incumbent = flags
+        z = x[z_cols]
+        cuts_before = len(cut_log)
+        for k in np.flatnonzero(z < values - 1e-9):
+            i, j = pairs[k]
+            path = paths.path(i, j)
+            cut = cut_from_duals(analytic_dual(instance, path, flags), instance, path)
+            model.add_row(
+                f"cut{len(cut_log)}_{i}_{j}",
+                [int(z_cols[k])] + [attack_cols[node] for node, _ in cut.coefficients],
+                [1.0] + [-c for _, c in cut.coefficients],
+                GREATER_EQUAL,
+                cut.constant,
+            )
+            cut_log.append(
+                CutRecord(
+                    iteration=len(trace) + 1,
+                    cut=cut,
+                    master_flags=flags.flags,
+                    master_z=float(z[k]),
+                    slave_value=float(values[k]),
+                )
+            )
+        if len(cut_log) == cuts_before:
+            return False
+        add_trace_row(bound, len(cut_log) - cuts_before)
+        return True
+
+    master.lazy_rows = cut_off
+    status = STATUS_TIME_LIMIT
+    remaining = None if time_limit is None else time_limit - (time.perf_counter() - start)
+    if remaining is None or remaining > 0.0:
+        res = solve_milp(master, gap=eps, time_limit=remaining, backend=backend)
         if res.status == STATUS_INFEASIBLE:
             raise MasterInfeasible("master rejected all attack vectors including v = 0")
-        finished = res.status != STATUS_TIME_LIMIT and res.x is not None
-        if finished:
-            lower = max(lower, min(res.bound, res.objective))
-            flags = feasible_attack(master, instance, attack_cols, res.x)
-            values = pair_values(instance, paths, flags)
-            candidate = math.fsum(values)
-            if candidate < upper - 1e-12:
-                upper = candidate
-                incumbent = flags
-        elif res.bound is not None and math.isfinite(res.bound):
-            lower = max(lower, min(res.bound, upper))
-
-        done = finished and upper - lower <= eps
-        cuts_before = len(cut_log)
-        if finished and not done:
-            z = res.x[z_cols]
-            for k in np.flatnonzero(z < values - 1e-9):
-                i, j = pairs[k]
-                path = paths.path(i, j)
-                cut = cut_from_duals(analytic_dual(instance, path, flags), instance, path)
-                master.add_row(
-                    f"cut{len(cut_log)}_{i}_{j}",
-                    [int(z_cols[k])] + [attack_cols[node] for node, _ in cut.coefficients],
-                    [1.0] + [-c for _, c in cut.coefficients],
-                    GREATER_EQUAL,
-                    cut.constant,
-                )
-                cut_log.append(
-                    CutRecord(
-                        iteration=len(trace) + 1,
-                        cut=cut,
-                        master_flags=flags.flags,
-                        master_z=float(z[k]),
-                        slave_value=float(values[k]),
-                    )
-                )
-            # No undercut pair at a feasible point: every surrogate matches
-            # its slave, so the master value is exact and the remaining gap
-            # is solver tolerance.
-            done = len(cut_log) == cuts_before
-            warm = np.zeros(master.num_variables)
-            warm[list(attack_cols)] = flags.flags
-            warm[z_cols] = values
-        trace.append(
-            TraceRow(
-                iteration=len(trace) + 1,
-                lower_bound=lower,
-                upper_bound=upper,
-                cuts_added=len(cut_log) - cuts_before,
-                cuts_total=len(cut_log),
-                elapsed=time.perf_counter() - start,
-            )
-        )
-        if not finished:
-            break
+        status = res.status
+        add_trace_row(res.bound, 0)
 
     return BendersResult(
-        status=STATUS_OPTIMAL if done else STATUS_TIME_LIMIT,
+        status=status,
         attack=incumbent,
         upper_bound=upper,
         lower_bound=lower,

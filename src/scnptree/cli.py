@@ -123,7 +123,10 @@ def solve_instance(instance: TreeInstance, method: str, params: dict) -> dict:
         res = solve_milp(model, gap=eps, time_limit=time_limit, backend=backend)
         attack = None if res.x is None else models.feasible_attack(model, instance, attack_cols, res.x)
         value = None if attack is None else objective_tree(instance, paths, attack)
-        bound, status = res.bound, res.status
+        # value is re-summed from the attack, so it can sit below the
+        # search's incumbent objective and its bound by a rounding error
+        bound = res.bound if value is None else min(res.bound, value)
+        status = res.status
         record["iterations"] = res.nodes
     elif method == "dp":
         result = dp_mod.dp_solve(instance, max_attacks(instance), params.get("nu", 4))

@@ -7,10 +7,12 @@ an LP bound within ``gap`` of the incumbent, so the reported bound is never
 more than ``gap`` below the returned objective.
 
 A model's ``lazy_rows`` check runs on every integral LP point that would
-become the incumbent.  When it appends rows that cut the point off, the
-same node is solved again with the same bounds and estimate, so one search
-covers rows that only show up at integral points; a row that cuts off no
-feasible point of the model leaves every bound valid.
+become the incumbent, and is handed the search's global bound at that
+moment: the least of the node's LP value, the best open estimate, the
+pruned bound and the incumbent.  When it appends rows that cut the point
+off, the same node is solved again with the same bounds and estimate, so
+one search covers rows that only show up at integral points; a row that
+cuts off no feasible point of the model leaves every bound valid.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _validate_warm_start(model: LinearModel, x: np.ndarray) -> float:
         raise ValueError(f"warm start not integral on {model.var_names[np.argmax(off)]}")
     if not model.is_feasible(x, tol=1e-7):
         raise ValueError("warm start violates bounds or rows")
-    if model.lazy_rows is not None and model.lazy_rows(model, x):
+    if model.lazy_rows is not None and model.lazy_rows(model, x, -math.inf):
         raise ValueError("warm start cut off by the model's lazy rows")
     return model.objective_value(x)
 
@@ -142,7 +144,8 @@ def solve_milp(
         best_j = _branch_column(x, int_idx)
         if best_j < 0:
             if obj < incumbent_obj - 1e-12:
-                if model.lazy_rows is not None and model.lazy_rows(model, x):
+                bound = min(obj, heap[0][0] if heap else math.inf, pruned_bound, incumbent_obj)
+                if model.lazy_rows is not None and model.lazy_rows(model, x, bound):
                     dive = (est, lo, hi)
                     continue
                 incumbent_obj = obj

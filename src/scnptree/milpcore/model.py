@@ -53,11 +53,13 @@ class LinearModel:
     """Sparse minimization model with bounded, optionally integer variables.
 
     Two fields are the builder's to set.  ``start_basis`` seeds a cold LP
-    start.  ``lazy_rows``, when set, is a check ``lazy_rows(model, x) ->
-    bool`` on an integral point: True means it has appended rows that cut
-    ``x`` off, and ``solve_milp`` accepts no incumbent or warm start it
-    cuts off.  It takes the model as an argument, so it must not hold the
-    model itself; that would keep the model and its LP session alive.
+    start.  ``lazy_rows``, when set, is a check ``lazy_rows(model, x,
+    bound) -> bool`` on an integral point: True means it has appended rows
+    that cut ``x`` off, and ``solve_milp`` accepts no incumbent or warm
+    start it cuts off.  ``bound`` is the search's proven lower bound at
+    that moment, nondecreasing within one search up to LP tolerance, and
+    -inf for a warm start.  The check takes the model as an argument, so it must not hold
+    the model itself; that would keep the model and its LP session alive.
     """
 
     def __init__(self, name: str = "model") -> None:

@@ -101,7 +101,7 @@ def _add_attack_block(
         for i, j in valid_inequalities(instance):
             model.add_row(f"dom_{i}_{j}", [attack[i], attack[j]], [1.0, -1.0], LESS_EQUAL, 0.0)
     # the check gets the model as an argument and must not hold it
-    model.lazy_rows = lambda m, x: feasible_attack(m, instance, attack, x) is None
+    model.lazy_rows = lambda m, x, bound: feasible_attack(m, instance, attack, x) is None
     return attack
 
 

@@ -31,6 +31,7 @@ from scnptree.milpcore import (
     solve_lp,
     solve_milp,
 )
+from scnptree.milpcore import branchbound
 from scnptree.models import _chain_rows, build_chain_milp
 
 
@@ -246,11 +247,31 @@ def test_cut_records_carry_generating_context():
         )
 
 
-def test_time_limit_zero_stops_before_first_master():
+def test_the_cut_loop_is_one_search_without_a_warm_start(monkeypatch):
+    real_solve = benders.solve_milp
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(benders, "solve_milp", counted)
+    res = bd_scnp(generate_instance(10, "type3", 62), eps=1e-6)
+    assert res.status == STATUS_OPTIMAL
+    assert res.iterations > 2
+    assert len(calls) == 1
+    assert calls[0].get("warm_start") is None
+
+
+def test_time_limit_zero_stops_before_first_master(monkeypatch):
+    calls = []
+    monkeypatch.setattr(benders, "solve_milp", lambda *args, **kwargs: calls.append(1))
     inst = generate_instance(8, "unit", 64)
     res = bd_scnp(inst, time_limit=0.0)
+    assert calls == []
     assert res.status == STATUS_TIME_LIMIT
     assert res.iterations == 0
+    assert res.trace == ()
     assert res.attack is None
     assert math.isinf(res.upper_bound)
     assert res.lower_bound == 0.0
@@ -266,32 +287,68 @@ def test_time_limit_reports_honest_bounds():
     assert optimum <= res.upper_bound + 1e-9
 
 
+@pytest.mark.parametrize("limit", [0.0, 1e-3, 1e-2, 5e-2])
+def test_every_time_limit_keeps_the_trace_whole(limit):
+    res = bd_scnp(generate_instance(18, "type3", 2), time_limit=limit)
+    assert res.iterations == len(res.trace)
+    assert res.cuts_total == len(res.cuts)
+    assert res.cuts_total == (res.trace[-1].cuts_total if res.trace else 0)
+    if res.trace:
+        assert res.trace[-1].cuts_added == 0
+        assert res.trace[-1].lower_bound == res.lower_bound
+
+
 def test_a_master_stopped_by_the_clock_gets_its_trace_row(monkeypatch, tmp_path):
-    # the second master stops on the clock with the bound the real solve
-    # proved: that round gets a row with no cuts and the result's LB
+    # the clock stops the search at its sixtieth node LP, after three cut
+    # rounds: the end of the search gets a row with no cuts whose LB is the
+    # bound the stopped search proved, and that is the result's LB
+    real_lp = branchbound.solve_lp
+    lps = []
+
+    def sixtieth_lp_times_out(*args, **kwargs):
+        lps.append(1)
+        if len(lps) == 60:
+            return SolveResult(status=STATUS_TIME_LIMIT)
+        return real_lp(*args, **kwargs)
+
     real_solve = benders.solve_milp
-    masters = []
+    searches = []
 
-    def second_master_stops(*args, **kwargs):
-        res = real_solve(*args, **kwargs)
-        masters.append(res)
-        if len(masters) == 2:
-            return SolveResult(status=STATUS_TIME_LIMIT, bound=res.bound)
-        return res
+    def recorded(*args, **kwargs):
+        searches.append(real_solve(*args, **kwargs))
+        return searches[-1]
 
-    monkeypatch.setattr(benders, "solve_milp", second_master_stops)
-    res = bd_scnp(generate_instance(10, "type1", 62), eps=1e-6)
-    assert len(masters) == 2
-    assert res.status == STATUS_TIME_LIMIT
-    assert res.iterations == len(res.trace) == 2
-    assert res.cuts_total == len(res.cuts) == res.trace[-1].cuts_total > 0
-    assert res.trace[-1].lower_bound == res.lower_bound > res.trace[0].lower_bound
-    assert res.trace[-1].cuts_added == 0
+    monkeypatch.setattr(branchbound, "solve_lp", sixtieth_lp_times_out)
+    monkeypatch.setattr(benders, "solve_milp", recorded)
+    res = bd_scnp(generate_instance(18, "type3", 2), eps=1e-6)
+    assert len(lps) == 60 and len(searches) == 1
+    assert searches[0].status == res.status == STATUS_TIME_LIMIT
+    assert res.iterations == len(res.trace) == 4
+    final, last_round = res.trace[-1], res.trace[-2]
+    assert final.cuts_added == 0 < last_round.cuts_added
+    assert res.cuts_total == len(res.cuts) == final.cuts_total
+    assert final.lower_bound == res.lower_bound > last_round.lower_bound
+    assert res.lower_bound == max(last_round.lower_bound, min(searches[0].bound, res.upper_bound))
+    assert final.upper_bound == res.upper_bound
     out = tmp_path / "trace.csv"
     write_trace_csv(res, out)
     with open(out, newline="", encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
     assert rows[-1]["LB"] == f"{res.lower_bound:.9g}"
+
+
+@pytest.mark.parametrize("scheme", ["unit", "type1", "type2", "type3"])
+def test_every_trace_row_brackets_the_optimum(scheme):
+    for n in (6, 7, 8):
+        for seed in range(10):
+            inst = generate_instance(n, scheme, seed)
+            _, optimum = exhaustive_solve(inst)
+            res = bd_scnp(inst, eps=1e-6)
+            assert res.status == STATUS_OPTIMAL
+            for row in res.trace:
+                assert row.lower_bound <= optimum + 1e-9
+                assert optimum <= row.upper_bound + 1e-9
+            assert res.lower_bound <= res.upper_bound
 
 
 @pytest.mark.parametrize("scheme", ["type1", "type2"])

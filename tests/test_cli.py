@@ -237,6 +237,18 @@ def test_time_limited_benders_trace_has_a_row_per_round(tmp_path, capsys):
     assert rows[-1]["LB"] == f"{record['bound']:.9g}"
 
 
+def test_no_record_bounds_above_its_value():
+    # the chain model's bound and the cut loop's LB are solver sums; each
+    # record caps them at its re-summed value, so bound <= value exactly
+    for scheme in ("unit", "type1", "type2", "type3"):
+        for seed in range(15):
+            inst = generate_instance(10, scheme, seed)
+            for method in ("milp", "benders"):
+                record = cli.solve_instance(inst, method, {"eps": 1e-6})
+                assert record["status"] == "Optimal"
+                assert record["bound"] <= record["value"], (scheme, seed, method)
+
+
 def test_solve_time_limit_reports_the_limit(tmp_path, capsys):
     inst = generate_instance(12, "type2", 13)
     path = tmp_path / "inst.json"

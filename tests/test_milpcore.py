@@ -685,7 +685,7 @@ def test_branch_and_bound_stops_on_a_node_time_limit(monkeypatch):
     assert res.bound <= brute_force_binary(m, 3) + 1e-9
 
 
-def _forbid_x0_and_x1(model: LinearModel, x: np.ndarray) -> bool:
+def _forbid_x0_and_x1(model: LinearModel, x: np.ndarray, bound: float) -> bool:
     """Lazy-row check: x0 and x1 may not both be 1."""
     if round(x[0]) + round(x[1]) < 2:
         return False
@@ -744,6 +744,43 @@ def test_a_search_stopped_after_a_lazy_row_keeps_a_valid_bound(monkeypatch):
     assert res.status == STATUS_TIME_LIMIT
     assert res.x is None
     assert math.isfinite(res.bound) and res.bound <= -8.0 + 1e-9
+
+
+@pytest.mark.parametrize("backend", LP_PATHS, indirect=True)
+def test_the_bound_handed_to_lazy_rows_is_valid_and_never_falls(backend):
+    # random knapsacks whose neighbours x_j, x_j+1 may not both be 1; the
+    # check adds the row of the first pair a point breaks
+    rng = np.random.default_rng(29)
+    n = 10
+    points = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
+    no_neighbours = (points[:, :-1] + points[:, 1:] <= 1).all(axis=1)
+    checks = 0
+    for trial in range(10):
+        m = LinearModel(f"conflict{trial}")
+        for j in range(n):
+            m.add_variable(f"x{j}", 0.0, 1.0, -float(rng.integers(1, 10)), integer=True)
+        weights = rng.integers(1, 6, size=n).astype(float)
+        capacity = float(rng.integers(8, 16))
+        m.add_row("cap", list(range(n)), weights.tolist(), LESS_EQUAL, capacity)
+        bounds = []
+
+        def forbid_neighbours(model, x, bound):
+            bounds.append(bound)
+            for j in range(n - 1):
+                if round(x[j]) + round(x[j + 1]) == 2:
+                    model.add_row(f"lazy{model.num_rows}", [j, j + 1], [1.0, 1.0], LESS_EQUAL, 1.0)
+                    return True
+            return False
+
+        m.lazy_rows = forbid_neighbours
+        res = solve_milp(m, gap=0.0, backend=backend)
+        keep = no_neighbours & (points @ weights <= capacity)
+        optimum = float((points[keep] @ np.array(m.objective)).min())
+        assert res.objective == pytest.approx(optimum)
+        assert all(b <= optimum + 1e-9 for b in bounds)
+        assert bounds == sorted(bounds)
+        checks += len(bounds)
+    assert checks > 30
 
 
 def test_simplex_refuses_oversized_dense_model():
