@@ -11,7 +11,9 @@ evaluates the flags for an upper bound and cuts the point off wherever a
 surrogate undercuts its slave, and the search's own bound is the lower
 bound.  The search stops when they meet within ``eps``.  The attack
 block's cover check runs first, so every priced point is a feasible
-attack.
+attack.  The check runs once at the empty attack before the search, so
+the first round of cuts does not depend on the vertex at which the LP
+solver leaves the cut-free master.
 """
 
 from __future__ import annotations
@@ -233,7 +235,9 @@ def bd_scnp(
     ``eps`` or stops at the time limit, and then writes a final row with
     no cuts and the bound it proved; so ``iterations == len(trace)``,
     ``cuts_total == len(cuts)`` and the last row's LB is the result's.
-    Per-pair arrays follow ``paths.pairs()`` order.
+    The check runs once at v = 0, z = 0 with bound 0 before the search
+    starts, so the first round of cuts, if any, is the empty attack's on
+    every backend.  Per-pair arrays follow ``paths.pairs()`` order.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -298,8 +302,9 @@ def bd_scnp(
 
     master.lazy_rows = cut_off
     status = STATUS_TIME_LIMIT
-    remaining = None if time_limit is None else time_limit - (time.perf_counter() - start)
-    if remaining is None or remaining > 0.0:
+    if time_limit is None or time.perf_counter() - start < time_limit:
+        cut_off(master, np.zeros(master.num_variables), 0.0)
+        remaining = None if time_limit is None else time_limit - (time.perf_counter() - start)
         res = solve_milp(master, gap=eps, time_limit=remaining, backend=backend)
         if res.status == STATUS_INFEASIBLE:
             raise MasterInfeasible("master rejected all attack vectors including v = 0")

@@ -15,9 +15,11 @@ Both share one attack block (``_add_attack_block``) that states what the
 budget implies about binary v, by the attack rule of ``instance``: upper
 bound 0 on every node outside ``attackable_nodes`` (p_i = 1 or a cost
 above the budget), the budget rounded down to the gcd grid of the
-attackable costs when they are all integers, and a row capping the number
-of attacks at ``max_attacks``.  The chain model optionally adds leaf
-dominance rows.  Both builders return the model and its attack columns.
+attackable costs when they are all integers, a row capping the number
+of attacks at ``max_attacks``, and one row per maximal clique of the
+budget's conflict graph (nodes no feasible attack holds together).  The
+chain model optionally adds leaf dominance rows.  Both builders return
+the model and its attack columns.
 
 ``feasible_attack`` is the one read-off of a solver point for these
 models and the cut loop's master: it rounds the attack columns and
@@ -68,6 +70,37 @@ def valid_inequalities(instance: TreeInstance) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _budget_cliques(instance: TreeInstance, attackable: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Maximal cliques of the budget's conflict graph, at most one per
+    attackable node; two nodes conflict when no feasible attack holds
+    both, that is when kappa_a + kappa_b exceeds K + ``BUDGET_SLACK``.
+
+    In descending cost order (ties by index) the nodes that conflict with
+    node j form a prefix of length t_j, because float addition rounds
+    monotonically.  While t_j = j, node j joins the head clique; after
+    it, 0 < t_j < j gives the clique of that prefix plus j; the head
+    clique comes first when it has two nodes or more.  A pair's sum
+    is the one ``AttackVector.is_feasible`` forms, and a superset's sum is
+    no smaller, so a row over a clique cuts off no feasible attack.
+    """
+    cost = instance.attack_cost
+    limit = instance.budget + BUDGET_SLACK
+    order = sorted(attackable, key=lambda u: (-cost[u], u))
+    cliques = []
+    head = 0
+    for j, u in enumerate(order):
+        t = 0
+        while t < j and cost[order[t]] + cost[u] > limit:
+            t += 1
+        if t == j:
+            head += 1
+        elif t:
+            cliques.append((*order[:t], u))
+    if head > 1:
+        cliques.insert(0, tuple(order[:head]))
+    return cliques
+
+
 def _add_attack_block(
     model: LinearModel,
     instance: TreeInstance,
@@ -82,6 +115,9 @@ def _add_attack_block(
     side rounds down to g*floor((K + BUDGET_SLACK)/g) (Chvatal-Gomory
     rounding), and the ``count`` row caps the number of attacks at
     ``max_attacks`` when the budget cannot buy every attackable node.
+    When the budget buys two or more nodes, each clique of
+    ``_budget_cliques`` gets a row ``clique_{u}``, u its last node in
+    their order: at most one of its nodes is attacked.  Below two the count row already says as much.
     """
     attackable = attackable_nodes(instance)
     attack = tuple(
@@ -97,6 +133,10 @@ def _add_attack_block(
     k = max_attacks(instance)
     if k < len(attackable):
         model.add_row("count", list(attack), [1.0] * len(attack), LESS_EQUAL, float(k))
+    if k > 1:
+        for clique in _budget_cliques(instance, attackable):
+            cols = [attack[u] for u in clique]
+            model.add_row(f"clique_{clique[-1]}", cols, [1.0] * len(cols), LESS_EQUAL, 1.0)
     if add_valid_ineq:
         for i, j in valid_inequalities(instance):
             model.add_row(f"dom_{i}_{j}", [attack[i], attack[j]], [1.0, -1.0], LESS_EQUAL, 0.0)

@@ -263,6 +263,46 @@ def test_the_cut_loop_is_one_search_without_a_warm_start(monkeypatch):
     assert calls[0].get("warm_start") is None
 
 
+@pytest.mark.parametrize(
+    "n, scheme, seed", [(6, "type1", 3), (7, "type3", 4), (8, "type2", 5), (10, "type3", 62)]
+)
+def test_the_first_round_is_the_empty_attacks_on_every_backend(n, scheme, seed):
+    # the check runs once at v = 0, z = 0 before the search, so round 1
+    # does not depend on the vertex the LP leaves the cut-free master at
+    inst = generate_instance(n, scheme, seed)
+    rounds = []
+    for backend in ("highs", "simplex"):
+        res = bd_scnp(inst, eps=1e-6, backend=backend)
+        first = [record for record in res.cuts if record.iteration == 1]
+        assert first
+        assert all(record.master_flags == (0,) * n and record.master_z == 0.0 for record in first)
+        assert res.trace[0].lower_bound == 0.0
+        assert res.trace[0].upper_bound == pytest.approx(inst.total_connection_cost(), abs=1e-9)
+        rounds.append([(record.cut, record.slave_value) for record in first])
+    assert rounds[0] == rounds[1]
+
+
+@pytest.mark.parametrize(
+    "n, scheme, seed, optimum, ceiling",
+    [(30, "type1", 1, 430.2287, 212), (20, "type2", 3, 413.9817, 50)],
+)
+def test_cut_loop_node_lps_stay_under_their_ceiling(monkeypatch, n, scheme, seed, optimum, ceiling):
+    # with the attack block's clique rows and the empty attack's round 212
+    # and 50 node LPs (238 and 169 without them)
+    lps = []
+    real = branchbound.solve_lp
+
+    def counted(*args, **kwargs):
+        lps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(branchbound, "solve_lp", counted)
+    res = bd_scnp(generate_instance(n, scheme, seed))
+    assert res.status == STATUS_OPTIMAL
+    assert res.upper_bound == pytest.approx(optimum, abs=1e-4)
+    assert len(lps) <= ceiling
+
+
 def test_time_limit_zero_stops_before_first_master(monkeypatch):
     calls = []
     monkeypatch.setattr(benders, "solve_milp", lambda *args, **kwargs: calls.append(1))

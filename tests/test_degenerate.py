@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from scnptree import cli
+from scnptree import benders, cli, models
 from scnptree.benders import bd_scnp
 from scnptree.cli import solve_instance
 from scnptree.evaluator import objective_tree
@@ -63,30 +63,68 @@ def test_exact_methods_on_degenerate_trees(inst, backend):
 
 
 # kappa = 0.50000005 puts the attack {1, 2} 5e-8 over the budget: inside
-# the solvers' 1e-7 row tolerance, outside AttackVector.is_feasible's 1e-9
+# the solvers' 1e-7 row tolerance, outside AttackVector.is_feasible's 1e-9.
+# The pair is a clique of the budget's conflict graph, so the attack block
+# bars it with v_1 + v_2 <= 1 before any LP sees it
 OVER_BUDGET_PATH = make_instance(
     4, [(0, 1), (1, 2), (2, 3)], [0.9, 0.1, 0.1, 0.9], [0.2, 0.5, 0.50000005, 0.2], None, 1.0
 )
 
+# the three middle nodes put {1, 2, 3} 5e-8 over the budget while every
+# pair fits, so no clique row bars the set: the LPs reach it, and only
+# feasible_attack's cover row v_1 + v_2 + v_3 <= 2 cuts it off
+COVER_PATH = make_instance(
+    5,
+    [(0, 1), (1, 2), (2, 3), (3, 4)],
+    [0.9, 0.1, 0.1, 0.1, 0.9],
+    [0.2, 0.33333335, 0.33333335, 0.33333335, 0.2],
+    None,
+    1.0,
+)
+# its twin with one survival probability, for ilp-p
+EQUAL_P_COVER_PATH = make_instance(
+    5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0.1] * 5, [0.2, 0.33333335, 0.33333335, 0.33333335, 0.2], None, 1.0
+)
+
+
+def _count_cover_rows(monkeypatch) -> list:
+    """Attacks the attack block's check rejects from here on, in the
+    models and in the cut loop: one cover row each."""
+    rejected = []
+    real = models.feasible_attack
+
+    def counted(model, instance, attack_cols, x):
+        attack = real(model, instance, attack_cols, x)
+        if attack is None:
+            rejected.append(tuple(round(float(x[c])) for c in attack_cols))
+        return attack
+
+    monkeypatch.setattr(models, "feasible_attack", counted)
+    monkeypatch.setattr(benders, "feasible_attack", counted)
+    return rejected
+
 
 @pytest.mark.parametrize("backend", ("highs", "simplex"))
 @pytest.mark.parametrize("method", ("milp", "benders"))
-def test_a_solver_point_over_the_budget_gets_one_cover_row(method, backend):
-    # the LPs reach {1, 2}; feasible_attack rejects it and cuts it off with
-    # the cover row v_1 + v_2 <= 1, and both methods still end optimal
-    model, attack_cols = build_chain_milp(OVER_BUDGET_PATH, build_path_table(OVER_BUDGET_PATH))
+def test_a_solver_point_over_the_budget_gets_one_cover_row(monkeypatch, method, backend):
+    # the LPs reach {1, 2, 3}; feasible_attack rejects it and cuts it off
+    # with the cover row v_1 + v_2 + v_3 <= 2 inside the search, and both
+    # methods still end optimal
+    model, attack_cols = build_chain_milp(COVER_PATH, build_path_table(COVER_PATH))
     rows = model.num_rows
     point = np.zeros(model.num_variables)
-    point[[attack_cols[1], attack_cols[2]]] = 1.0
-    assert feasible_attack(model, OVER_BUDGET_PATH, attack_cols, point) is None
+    point[[attack_cols[1], attack_cols[2], attack_cols[3]]] = 1.0
+    assert feasible_attack(model, COVER_PATH, attack_cols, point) is None
     assert model.num_rows == rows + 1
-    assert model.row_cols[-1] == [attack_cols[1], attack_cols[2]]
-    assert (model.row_coefs[-1], model.senses[-1], model.rhs[-1]) == ([1.0, 1.0], LESS_EQUAL, 1.0)
-    record = solve_instance(OVER_BUDGET_PATH, method, {"eps": 1e-9, "backend": backend})
-    attack = AttackVector.from_nodes(record["attack"], 4)
-    assert attack.is_feasible(OVER_BUDGET_PATH)
-    assert record["value"] == pytest.approx(1.351, abs=1e-9)
-    assert record["bound"] == pytest.approx(1.351, abs=1e-8)
+    assert model.row_cols[-1] == [attack_cols[1], attack_cols[2], attack_cols[3]]
+    assert (model.row_coefs[-1], model.senses[-1], model.rhs[-1]) == ([1.0] * 3, LESS_EQUAL, 2.0)
+    rejected = _count_cover_rows(monkeypatch)
+    record = solve_instance(COVER_PATH, method, {"eps": 1e-9, "backend": backend})
+    assert rejected and all(sum(flags) == 3 for flags in rejected)
+    attack = AttackVector.from_nodes(record["attack"], 5)
+    assert attack.is_feasible(COVER_PATH)
+    assert record["value"] == pytest.approx(0.618, abs=1e-9)
+    assert record["bound"] == pytest.approx(0.618, abs=1e-8)
 
 
 @pytest.mark.parametrize("backend", ("highs", "simplex"))
@@ -101,10 +139,12 @@ def test_a_milp_record_comes_from_one_search(monkeypatch, backend):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_milp", counted)
-    record = solve_instance(OVER_BUDGET_PATH, "milp", {"eps": 1e-9, "backend": backend})
+    rejected = _count_cover_rows(monkeypatch)
+    record = solve_instance(COVER_PATH, "milp", {"eps": 1e-9, "backend": backend})
     assert len(solves) == 1
-    assert AttackVector.from_nodes(record["attack"], 4).is_feasible(OVER_BUDGET_PATH)
-    assert record["value"] == pytest.approx(1.351, abs=1e-9)
+    assert rejected
+    assert AttackVector.from_nodes(record["attack"], 5).is_feasible(COVER_PATH)
+    assert record["value"] == pytest.approx(0.618, abs=1e-9)
     assert record["bound"] <= record["value"] + 1e-9
 
 
@@ -112,6 +152,8 @@ def test_the_over_budget_path_has_a_feasible_optimum():
     record = solve_instance(OVER_BUDGET_PATH, "exhaustive", {})
     assert record["attack"] == [0, 2, 3]
     assert record["value"] == pytest.approx(1.351, abs=1e-9)
+    assert solve_instance(COVER_PATH, "exhaustive", {})["value"] == pytest.approx(0.618, abs=1e-9)
+    assert solve_instance(EQUAL_P_COVER_PATH, "exhaustive", {})["value"] == pytest.approx(0.352, abs=1e-9)
 
 
 @st.composite
@@ -138,15 +180,38 @@ def near_budget_instances(draw):
     return make_instance(n, edges, probs, kappa, None, budget)
 
 
-# equal p, and the attack {0, 1} 5e-8 over the budget: ilp-p's search
-# meets it on both backends and cuts it off with a cover row
+# equal p, and the attack {0, 1} 5e-8 over the budget; a clique row bars
+# the pair, as in OVER_BUDGET_PATH
 EQUAL_P_OVER_BUDGET_PATH = make_instance(3, [(0, 1), (1, 2)], [0.1] * 3, [0.33333335, 0.6666667, 0.6], None, 1.0)
+
+
+@pytest.mark.parametrize("backend", ("highs", "simplex"))
+@pytest.mark.parametrize(
+    "inst, pair, methods",
+    (
+        (OVER_BUDGET_PATH, (1, 2), ("milp", "benders")),
+        (EQUAL_P_OVER_BUDGET_PATH, (0, 1), ("milp", "benders", "ilp-p")),
+    ),
+    ids=("path", "equal_p"),
+)
+def test_a_pair_over_the_budget_needs_no_cover_row(monkeypatch, inst, pair, methods, backend):
+    # the clique row over the pair keeps every search off it
+    model, attack_cols = build_chain_milp(inst, build_path_table(inst))
+    cliques = [set(cols) for name, cols in zip(model.row_names, model.row_cols) if name.startswith("clique_")]
+    assert {attack_cols[u] for u in pair} in cliques
+    rejected = _count_cover_rows(monkeypatch)
+    for method in methods:
+        record = solve_instance(inst, method, {"eps": 1e-9, "backend": backend})
+        assert AttackVector.from_nodes(record["attack"], inst.node_count).is_feasible(inst)
+    assert rejected == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(inst=near_budget_instances())
 @example(inst=OVER_BUDGET_PATH)
 @example(inst=EQUAL_P_OVER_BUDGET_PATH)
+@example(inst=COVER_PATH)
+@example(inst=EQUAL_P_COVER_PATH)
 def test_exact_methods_match_exhaustive_near_the_budget(inst):
     optimum = solve_instance(inst, "exhaustive", {})["value"]
     methods = ["milp", "benders"] + (["ilp-p"] if len(set(inst.survival_prob)) == 1 else [])
@@ -159,11 +224,13 @@ def test_exact_methods_match_exhaustive_near_the_budget(inst):
 
 
 @pytest.mark.parametrize("backend", ("highs", "simplex"))
-@pytest.mark.parametrize("inst", (OVER_BUDGET_PATH, EQUAL_P_OVER_BUDGET_PATH), ids=("path", "equal_p"))
-def test_the_cut_loop_meets_only_feasible_master_points(inst, backend):
+@pytest.mark.parametrize("inst", (COVER_PATH, EQUAL_P_COVER_PATH), ids=("path", "equal_p"))
+def test_the_cut_loop_meets_only_feasible_master_points(monkeypatch, inst, backend):
     # the master's search cuts the point over the budget off itself, so
     # every round before the last adds cuts
+    rejected = _count_cover_rows(monkeypatch)
     res = bd_scnp(inst, eps=1e-9, backend=backend)
+    assert rejected
     assert res.iterations == len(res.trace)
     assert all(row.cuts_added > 0 for row in res.trace[:-1])
     for before, after in zip(res.trace, res.trace[1:]):
@@ -177,8 +244,8 @@ def test_the_cut_loop_meets_only_feasible_master_points(inst, backend):
 @pytest.mark.parametrize(
     "inst, build",
     (
-        (OVER_BUDGET_PATH, build_chain_milp),
-        (EQUAL_P_OVER_BUDGET_PATH, build_ilp_p),
+        (COVER_PATH, build_chain_milp),
+        (EQUAL_P_COVER_PATH, build_ilp_p),
     ),
     ids=("milp", "ilp_p"),
 )
@@ -187,6 +254,7 @@ def test_solve_milp_on_an_attack_model_returns_a_feasible_attack(inst, build, ba
     # search's incumbent within the budget
     model, attack_cols = build(inst, build_path_table(inst))
     res = solve_milp(model, gap=1e-9, backend=backend)
+    assert any(name.startswith("cover") for name in model.row_names)
     attack = AttackVector(tuple(round(float(res.x[c])) for c in attack_cols))
     assert attack.is_feasible(inst)
     assert res.objective == pytest.approx(solve_instance(inst, "exhaustive", {})["value"], abs=1e-8)

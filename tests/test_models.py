@@ -10,11 +10,12 @@ import pytest
 import oracles
 from scnptree import generate_instance, make_instance
 from scnptree.evaluator import objective_tree
-from scnptree.instance import AttackVector, build_path_table
-from scnptree.milpcore import STATUS_OPTIMAL, LinearModel, solve_lp, solve_milp
+from scnptree.instance import BUDGET_SLACK, AttackVector, attackable_nodes, build_path_table
+from scnptree.milpcore import STATUS_OPTIMAL, LinearModel, branchbound, solve_lp, solve_milp
 from scnptree.models import (
     UnequalProbabilities,
     _add_attack_block,
+    _budget_cliques,
     build_chain_milp,
     build_ilp_p,
     feasible_attack,
@@ -71,16 +72,18 @@ def test_chain_milp_survival_levels_match_formula():
 
 
 def test_chain_milp_size_and_root_lp_are_pinned():
-    # One survival column per (start node, node): 75 columns and 123 rows
+    # One survival column per (start node, node): 75 columns and 125 rows
     # here, where survival-plus-removal columns needed 140 x 243 and one
     # chain per pair 360 x 611.  The attack block's rounded budget and
-    # count row lift the root LP from 53.947526, never below it.
+    # count row lifted the root LP from 53.947526 to 60.524376, and its two
+    # clique rows (v2 + v9 <= 1, v2 + v5 <= 1) lift it further; a tighter
+    # block may only raise it.
     inst = generate_instance(10, "type1", 33)
     model, _ = build_chain_milp(inst, build_path_table(inst))
-    assert (model.num_variables, model.num_rows) == (75, 123)
+    assert (model.num_variables, model.num_rows) == (75, 125)
     root = solve_lp(model).objective
-    assert root == pytest.approx(60.524376, abs=1e-7)
-    assert root >= 53.947526 - 1e-9
+    assert root == pytest.approx(75.351773, abs=1e-6)
+    assert root >= 60.524376 - 1e-9
     _, expected = oracles.brute_force_optimum(inst)
     assert expected == pytest.approx(77.9336, abs=1e-7)
     assert solve_milp(model, gap=0.0).objective == pytest.approx(expected, abs=1e-7)
@@ -237,6 +240,84 @@ def test_attack_block_is_exact_on_hand_made_cases(kappa, probs, budgets):
     for budget in budgets:
         inst = make_instance(4, [(0, 1), (0, 2), (0, 3)], probs, kappa, None, budget)
         _assert_attack_block_is_exact(inst)
+
+
+def _clique_rows(model):
+    return [cols for name, cols in zip(model.row_names, model.row_cols) if name.startswith("clique_")]
+
+
+@pytest.mark.parametrize("scheme", ["unit", "type1", "type2", "type3"])
+def test_clique_rows_bar_exactly_the_pairs_over_the_budget(scheme):
+    # n 2-10, seeds 0-14, every binary v: a point that breaks a clique row
+    # is an infeasible attack, and every pair of attackable nodes whose
+    # costs exceed the budget together breaks a clique row or the count row
+    for n in range(2, 11):
+        flags = np.array(list(itertools.product((0, 1), repeat=n)), dtype=float)
+        for seed in range(15):
+            inst = generate_instance(n, scheme, seed)
+            model = LinearModel("attack_block")
+            _add_attack_block(model, inst, add_valid_ineq=False)
+            cliques = _clique_rows(model)
+            broken = np.zeros(len(flags), dtype=bool)
+            for cols in cliques:
+                broken |= flags[:, cols].sum(axis=1) > 1.0
+            for v in flags[broken]:
+                assert not AttackVector(tuple(int(x) for x in v)).is_feasible(inst), (n, seed, v)
+            count = [rhs for name, rhs in zip(model.row_names, model.rhs) if name == "count"]
+            for a, b in itertools.combinations(attackable_nodes(inst), 2):
+                if AttackVector.from_nodes((a, b), n).is_feasible(inst):
+                    continue
+                in_clique = any(a in cols and b in cols for cols in cliques)
+                assert in_clique or count[0] < 2.0, (n, seed, a, b)
+
+
+def test_budget_cliques_on_hand_made_costs():
+    # costs 5, 4, 3, 2, 1 under K = 6.5: 5 conflicts with 4, 3 and 2, and 4
+    # with 3; so the head clique {5, 4, 3} and {5, 2}
+    inst = make_instance(5, [(0, k) for k in range(1, 5)], [0.5] * 5, [5.0, 4.0, 3.0, 2.0, 1.0], None, 6.5)
+    assert _budget_cliques(inst, attackable_nodes(inst)) == [(0, 1, 2), (0, 3)]
+    # a pair whose sum is exactly K + BUDGET_SLACK fits, so it is no conflict
+    fits = (1.0 + BUDGET_SLACK) - 0.5
+    inst = make_instance(3, [(0, 1), (1, 2)], [0.5] * 3, [0.5, fits, 0.6], None, 1.0)
+    assert AttackVector.from_nodes((0, 1), 3).is_feasible(inst)
+    assert _budget_cliques(inst, attackable_nodes(inst)) == [(2, 1), (2, 0)]
+    # K = 1 buys one node: the count row says it all
+    inst = make_instance(3, [(0, 1), (1, 2)], [0.5] * 3, [1.0] * 3, None, 1.0)
+    model, _ = build_chain_milp(inst, build_path_table(inst))
+    assert _clique_rows(model) == []
+    # unit costs and K >= 2: no pair is over the budget
+    for n in (20, 25, 30):
+        inst = generate_instance(n, "unit", 1)
+        assert inst.budget >= 2.0
+        model, _ = build_chain_milp(inst, build_path_table(inst))
+        assert _clique_rows(model) == []
+
+
+def _counted_node_lps(monkeypatch):
+    lps = []
+    real = branchbound.solve_lp
+
+    def counted(*args, **kwargs):
+        lps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(branchbound, "solve_lp", counted)
+    return lps
+
+
+@pytest.mark.parametrize(
+    "n, scheme, seed, optimum, ceiling",
+    [(30, "type1", 1, 430.2287, 54), (20, "type2", 3, 413.9817, 9)],
+)
+def test_chain_milp_node_lps_stay_under_their_ceiling(monkeypatch, n, scheme, seed, optimum, ceiling):
+    # with the clique rows 54 and 9 node LPs (64 and 61 without them)
+    inst = generate_instance(n, scheme, seed)
+    model, _ = build_chain_milp(inst, build_path_table(inst), add_valid_ineq=True)
+    lps = _counted_node_lps(monkeypatch)
+    res = solve_milp(model, gap=1e-6)
+    assert res.status == STATUS_OPTIMAL
+    assert res.objective == pytest.approx(optimum, abs=1e-4)
+    assert len(lps) <= ceiling
 
 
 def test_unaffordable_unit_attacks_close_at_the_root():

@@ -60,13 +60,15 @@ def _fresh_then_recycled(monkeypatch, solve):
     return fresh, recycled
 
 
+# models whose search branches (22, 7, 9 and 21 nodes); the attack
+# block's clique rows close most n = 8 models at the root
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: _chain(8, "type3", 3),
+        lambda: _chain(8, "type3", 9),
         lambda: _chain(21, "unit", 3),
-        lambda: _ilp_p(8, "type2", 6),
-        lambda: _ilp_p(8, "type1", 4),
+        lambda: _ilp_p(10, "type2", 3),
+        lambda: _ilp_p(8, "type3", 4),
     ],
 )
 def test_a_recycled_object_solves_a_model_bit_identically(monkeypatch, build):
