@@ -230,9 +230,13 @@ def bd_scnp(
     The master's lazy-row check runs the attack block's cover check,
     evaluates every slave at the point's flags for an upper bound, and
     appends one cut per pair whose surrogate undercuts its slave value by
-    more than 1e-9; a check that adds cuts writes a trace row whose LB is
-    the search's bound at that moment.  The search closes at absolute gap
-    ``eps`` or stops at the time limit, and then writes a final row with
+    more than 1e-9, unless the pair already has its cut at these flags:
+    the LP solver counts a row met within its own tolerance (1e-7), so it
+    can return the same point, and a second copy would change nothing.  A
+    point whose undercut pairs all have their cut is accepted.  A check
+    that adds cuts writes a trace row whose LB is the search's bound at
+    that moment.  The search closes at absolute gap ``eps`` or stops at
+    the time limit, and then writes a final row with
     no cuts and the bound it proved; so ``iterations == len(trace)``,
     ``cuts_total == len(cuts)`` and the last row's LB is the result's.
     The check runs once at v = 0, z = 0 with bound 0 before the search
@@ -255,6 +259,7 @@ def bd_scnp(
     incumbent: AttackVector | None = None
     trace: list[TraceRow] = []
     cut_log: list[CutRecord] = []
+    cut_at: set[tuple[int, tuple[int, ...]]] = set()  # (pair position, flags) of each cut
 
     def add_trace_row(bound: float, cuts_added: int) -> None:
         nonlocal lower
@@ -276,6 +281,10 @@ def bd_scnp(
         z = x[z_cols]
         cuts_before = len(cut_log)
         for k in np.flatnonzero(z < values - 1e-9):
+            key = (int(k), flags.flags)
+            if key in cut_at:
+                continue
+            cut_at.add(key)
             i, j = pairs[k]
             path = paths.path(i, j)
             cut = cut_from_duals(analytic_dual(instance, path, flags), instance, path)

@@ -102,10 +102,10 @@ _ROWWISE = 2  # HiGHS MatrixFormat.kRowwise
 _MINIMIZE = 1  # HiGHS ObjSense.kMinimize
 
 # Keyed by the model object itself (weakly, so entries die with the model
-# and a recycled address can never be mistaken for a cached model).  Models
-# only grow through add_variable and add_row, so a session with the model's
-# column count catches up by appending the new rows; editing a model's lists
-# in place is not tracked.
+# and a recycled address can never be mistaken for a cached model).  A
+# model's rows are append-only, so a session with the model's column count
+# catches up by appending the new rows; column bounds are sent with every
+# solve, and the objective and start basis are read when a session is made.
 _sessions: "weakref.WeakKeyDictionary[LinearModel, _Session]" = weakref.WeakKeyDictionary()
 
 
@@ -140,10 +140,10 @@ def _acquire():
 
 def _row_block(model: LinearModel, first: int) -> tuple:
     """Rows ``first..`` as HiGHS row bounds plus a row-wise CSR matrix."""
-    senses = model.senses[first:]
-    rhs = model.rhs[first:]
-    lower = np.array([-math.inf if s == LESS_EQUAL else b for s, b in zip(senses, rhs)])
-    upper = np.array([math.inf if s == GREATER_EQUAL else b for s, b in zip(senses, rhs)])
+    senses = np.array(model.senses[first:], dtype=object)
+    rhs = np.array(model.rhs[first:], dtype=float)
+    lower = np.where(senses == LESS_EQUAL, -math.inf, rhs)
+    upper = np.where(senses == GREATER_EQUAL, math.inf, rhs)
     return (lower, upper, *model.row_matrix(first))
 
 

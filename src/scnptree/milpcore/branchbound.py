@@ -38,21 +38,6 @@ _INT_TOL = 1e-6
 _PRUNE_PAD = 1e-9
 
 
-def _validate_warm_start(model: LinearModel, x: np.ndarray) -> float:
-    if x.shape != (model.num_variables,):
-        raise ValueError("warm start has wrong length")
-    if not np.isfinite(x).all():
-        raise ValueError("warm start is not finite")
-    off = np.asarray(model.is_integer, dtype=bool) & (np.abs(x - np.round(x)) > _INT_TOL)
-    if off.any():
-        raise ValueError(f"warm start not integral on {model.var_names[np.argmax(off)]}")
-    if not model.is_feasible(x, tol=1e-7):
-        raise ValueError("warm start violates bounds or rows")
-    if model.lazy_rows is not None and model.lazy_rows(model, x, -math.inf):
-        raise ValueError("warm start cut off by the model's lazy rows")
-    return model.objective_value(x)
-
-
 def _branch_column(x: np.ndarray, int_idx: np.ndarray) -> int:
     """The first column of ``int_idx`` with the largest fractionality above
     ``_INT_TOL``, or -1 when the point is integral on all of them."""
@@ -69,23 +54,16 @@ def solve_milp(
     gap: float = 1e-3,
     time_limit: float | None = None,
     backend: str = "auto",
-    warm_start: np.ndarray | None = None,
 ) -> SolveResult:
     """Minimize the model with its integrality flags enforced.
 
     ``gap`` is absolute: the search stops once no open node can beat the
     incumbent by more than ``gap``, or with TimeLimit once ``time_limit``
-    seconds have passed.  ``warm_start`` must be a feasible integral point
-    that the model's ``lazy_rows`` check keeps, and seeds the incumbent.
-    Unbounded refers to the root relaxation.
+    seconds have passed.  Unbounded refers to the root relaxation.
     """
     start = time.perf_counter()
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
-    if warm_start is not None:
-        ws = np.asarray(warm_start, dtype=float)
-        incumbent_obj = _validate_warm_start(model, ws)
-        incumbent_x = ws
 
     int_idx = np.flatnonzero(model.is_integer)
     root_lower = np.asarray(model.lower, dtype=float)

@@ -1,14 +1,16 @@
 """Linear model container shared by the LP and MILP solvers.
 
 A model is a minimization over named variables with bounds and optional
-integrality, plus named rows ``sum_j a_j x_j  (<= | = | >=)  rhs``.  Rows
-are stored sparsely; solvers densify as needed.
+integrality, plus named rows ``sum_j a_j x_j  (<= | = | >=)  rhs``.  Only
+the model knows how coefficients are stored: one append-only row-wise CSR
+store (row starts, column indices, values) that ``add_row`` alone writes
+and every solver reads through ``row_matrix``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +57,14 @@ class LinearModel:
     Two fields are the builder's to set.  ``start_basis`` seeds a cold LP
     start.  ``lazy_rows``, when set, is a check ``lazy_rows(model, x,
     bound) -> bool`` on an integral point: True means it has appended rows
-    that cut ``x`` off, and ``solve_milp`` accepts no incumbent or warm
-    start it cuts off.  ``bound`` is the search's proven lower bound at
-    that moment, nondecreasing within one search up to LP tolerance, and
-    -inf for a warm start.  The check takes the model as an argument, so it must not hold
-    the model itself; that would keep the model and its LP session alive.
+    that cut ``x`` off, and ``solve_milp`` accepts no incumbent it cuts
+    off.  ``bound`` is the search's proven lower bound at that moment,
+    nondecreasing within one search up to LP tolerance.  The check takes
+    the model as an argument, so it must not hold the model itself; that
+    would keep the model and its LP session alive.
+
+    Rows only grow: ``add_row`` appends to the CSR store, and no row is
+    edited or removed afterwards.
     """
 
     def __init__(self, name: str = "model") -> None:
@@ -70,8 +75,11 @@ class LinearModel:
         self.objective: list[float] = []
         self.is_integer: list[bool] = []
         self.row_names: list[str] = []
-        self.row_cols: list[list[int]] = []
-        self.row_coefs: list[list[float]] = []
+        # row r holds _index[_start[r]:_start[r + 1]] and the same slice
+        # of _value; the dtypes are the int32 / float64 of row_matrix
+        self._start = array("i", [0])
+        self._index = array("i")
+        self._value = array("d")
         self.senses: list[str] = []
         self.rhs: list[float] = []
         # (row, column) pairs of a starting basis for a cold LP start: each
@@ -123,10 +131,13 @@ class LinearModel:
                 raise ValueError(f"row {name!r} references unknown column {c}")
         if len(set(cols)) != len(cols):
             raise ValueError(f"row {name!r} repeats a column")
+        # converted before anything is stored, so a bad entry leaves no trace
+        index, value = array("i", cols), array("d", coefs)
         idx = len(self.row_names)
         self.row_names.append(name)
-        self.row_cols.append(list(cols))
-        self.row_coefs.append([float(v) for v in coefs])
+        self._index.extend(index)
+        self._value.extend(value)
+        self._start.append(len(self._index))
         self.senses.append(sense)
         self.rhs.append(float(rhs))
         return idx
@@ -141,18 +152,14 @@ class LinearModel:
     def num_rows(self) -> int:
         return len(self.row_names)
 
-    def objective_value(self, x: np.ndarray) -> float:
-        return float(np.dot(self.objective, x))
-
     def row_matrix(self, first: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows ``first..`` as a row-wise CSR matrix (start, index, value)."""
-        cols = self.row_cols[first:]
-        start = np.zeros(len(cols) + 1, dtype=np.int32)
-        np.cumsum([len(c) for c in cols], out=start[1:])
-        index = np.fromiter(itertools.chain.from_iterable(cols), dtype=np.int32, count=start[-1])
-        value = np.fromiter(
-            itertools.chain.from_iterable(self.row_coefs[first:]), dtype=float, count=start[-1]
-        )
+        """Rows ``first..`` as a row-wise CSR matrix (start, index, value):
+        int32 starts from 0, int32 column indices, float64 values.  The
+        arrays are copies; the model's own store only ever grows."""
+        offset = self._start[first]
+        start = np.frombuffer(self._start[first:], dtype=np.int32) - np.int32(offset)
+        index = np.frombuffer(self._index[offset:], dtype=np.int32)
+        value = np.frombuffer(self._value[offset:], dtype=float)
         return start, index, value
 
     def row_activity(self, x: np.ndarray) -> np.ndarray:
@@ -187,24 +194,17 @@ class LinearModel:
         against an infinite bound means the multipliers are dual infeasible;
         that returns -inf so callers see the certificate fail loudly.
         """
-        reduced = np.asarray(self.objective, dtype=float).copy()
-        for r, (cols, coefs) in enumerate(zip(self.row_cols, self.row_coefs)):
-            y = duals[r]
-            if y != 0.0:
-                for c, a in zip(cols, coefs):
-                    reduced[c] -= y * a
-        total = float(np.dot(duals, self.rhs))
-        for j in range(self.num_variables):
-            d = reduced[j]
-            if d > tol:
-                if math.isinf(self.lower[j]):
-                    return -math.inf
-                total += d * self.lower[j]
-            elif d < -tol:
-                if math.isinf(self.upper[j]):
-                    return -math.inf
-                total += d * self.upper[j]
-        return total
+        duals = np.asarray(duals, dtype=float)
+        start, index, value = self.row_matrix()
+        weights = value * np.repeat(duals, np.diff(start))
+        reduced = np.asarray(self.objective, dtype=float) - np.bincount(
+            index, weights=weights, minlength=self.num_variables
+        )
+        up, down = reduced > tol, reduced < -tol
+        lower, upper = np.asarray(self.lower)[up], np.asarray(self.upper)[down]
+        if np.isinf(lower).any() or np.isinf(upper).any():
+            return -math.inf
+        return float(np.dot(duals, self.rhs) + np.dot(reduced[up], lower) + np.dot(reduced[down], upper))
 
     # -- plain-text dump ----------------------------------------------------
 
@@ -221,7 +221,7 @@ class LinearModel:
         where <term> is ``<sign><number> <varname>``.  The reader side is
         intentionally not implemented; the format exists for inspection.
         """
-        def terms(cols: list[int], coefs: list[float]) -> str:
+        def terms(cols, coefs) -> str:
             parts = []
             for c, a in zip(cols, coefs):
                 sign = "+" if a >= 0 else "-"
@@ -232,9 +232,11 @@ class LinearModel:
             fh.write(f"# model {self.name}\n")
             obj_cols = [j for j, v in enumerate(self.objective) if v != 0.0]
             fh.write(f"min: {terms(obj_cols, [self.objective[j] for j in obj_cols])} ;\n")
+            start, index, value = self.row_matrix()
             for r in range(self.num_rows):
+                row = slice(start[r], start[r + 1])
                 fh.write(
-                    f"{self.row_names[r]}: {terms(self.row_cols[r], self.row_coefs[r])}"
+                    f"{self.row_names[r]}: {terms(index[row], value[row])}"
                     f" {self.senses[r]} {self.rhs[r]:.12g} ;\n"
                 )
             for j in range(self.num_variables):

@@ -68,20 +68,16 @@ def simplex_solve(
 
     total = n + 2 * m  # structurals, slacks, artificials
     a = np.zeros((m, total))
-    for r, (cols, coefs) in enumerate(zip(model.row_cols, model.row_coefs)):
-        a[r, cols] = coefs
+    start, index, value = model.row_matrix()
+    a[np.repeat(np.arange(m), np.diff(start)), index] = value
+    a[np.arange(m), n + np.arange(m)] = 1.0
+    senses = np.array(model.senses, dtype=object)
     lb = np.full(total, -math.inf)
     ub = np.full(total, math.inf)
     lb[:n] = var_lower
     ub[:n] = var_upper
-    for r, sense in enumerate(model.senses):
-        a[r, n + r] = 1.0
-        if sense == LESS_EQUAL:
-            lb[n + r], ub[n + r] = 0.0, math.inf
-        elif sense == GREATER_EQUAL:
-            lb[n + r], ub[n + r] = -math.inf, 0.0
-        else:
-            lb[n + r], ub[n + r] = 0.0, 0.0
+    lb[n : n + m] = np.where(senses == GREATER_EQUAL, -math.inf, 0.0)
+    ub[n : n + m] = np.where(senses == LESS_EQUAL, math.inf, 0.0)
     art0 = n + m
     lb[art0:] = 0.0
 

@@ -267,12 +267,11 @@ def feasible_attack(
 
 def model_size(model: LinearModel) -> dict[str, int]:
     """Small summary used by reports and logs."""
-    nnz = sum(len(cols) for cols in model.row_cols)
-    integers = sum(model.is_integer)
+    start, _, _ = model.row_matrix()
     return {
         "variables": model.num_variables,
-        "integer_variables": int(integers),
+        "integer_variables": sum(model.is_integer),
         "rows": model.num_rows,
-        "nonzeros": nnz,
+        "nonzeros": int(start[-1]),
     }
 

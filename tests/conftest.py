@@ -7,6 +7,9 @@ inequality-neutrality comparison).
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -20,6 +23,32 @@ from scnptree.milpcore import SolveResult, solve_milp
 from scnptree.models import build_chain_milp
 
 _CRITERION_LINES: dict[int, tuple[bool, str]] = {}
+
+# Tier-1 takes about a minute in all, so a single test past this limit is
+# hung: the run then ends with every thread's traceback instead of blocking.
+WATCHDOG_SECONDS = 600.0
+_WATCHDOG_FILE = pytest.StashKey()
+
+
+def pytest_configure(config):
+    # a copy of the terminal's stderr, taken while output is not captured,
+    # so the traceback reaches the terminal from inside a captured test
+    config.stash[_WATCHDOG_FILE] = os.fdopen(os.dup(sys.stderr.fileno()), "w")
+
+
+def pytest_unconfigure(config):
+    config.stash[_WATCHDOG_FILE].close()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Arm the watchdog over one test's setup, call and teardown."""
+    file = item.config.stash[_WATCHDOG_FILE]
+    faulthandler.dump_traceback_later(WATCHDOG_SECONDS, exit=True, file=file)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def _record(number: int, ok: bool, line: str) -> None:

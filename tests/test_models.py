@@ -243,7 +243,12 @@ def test_attack_block_is_exact_on_hand_made_cases(kappa, probs, budgets):
 
 
 def _clique_rows(model):
-    return [cols for name, cols in zip(model.row_names, model.row_cols) if name.startswith("clique_")]
+    start, index, _ = model.row_matrix()
+    return [
+        index[start[r] : start[r + 1]].tolist()
+        for r, name in enumerate(model.row_names)
+        if name.startswith("clique_")
+    ]
 
 
 @pytest.mark.parametrize("scheme", ["unit", "type1", "type2", "type3"])

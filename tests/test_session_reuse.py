@@ -195,9 +195,11 @@ def test_the_chain_start_basis_is_feasible_and_triangular():
     assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
     # every basic column is created before the one it pins, so ordering the
     # pairs by column gives a lower-triangular basis with unit diagonal
+    start, index, value = model.row_matrix()
     for row, col in model.start_basis:
-        assert max(model.row_cols[row]) == col
-        assert model.row_coefs[row][model.row_cols[row].index(col)] == 1.0
+        in_row = index[start[row] : start[row + 1]].tolist()
+        assert max(in_row) == col
+        assert value[start[row] + in_row.index(col)] == 1.0
     point = np.zeros(model.num_variables)
     point[cols] = 1.0
     assert model.is_feasible(point, tol=0.0)
